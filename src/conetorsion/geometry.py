@@ -506,21 +506,34 @@ def rho_extremes(partition: BoundaryPartition, z=(0.0, 0.0)):
     return float(np.max(dmax)), float(np.min(dmin))
 
 
-def polyline_distance(points, seg_a, seg_b, chunk: int = 4096) -> np.ndarray:
-    """Distance from each point to the nearest of the segments [a_i, b_i]."""
+# points per block of polyline_distance: keeps its (block, segments)
+# temporaries in L2 cache for boundaries of a few hundred segments
+_DISTANCE_BLOCK = 64
+
+
+def polyline_distance(points, seg_a, seg_b) -> np.ndarray:
+    """Distance from each point to the nearest of the segments [a_i, b_i].
+
+    Exact brute force over points x segments: the closest point on segment i
+    is a_i + s (b_i - a_i) with s clipped to [0, 1].  The x and y components
+    are kept in separate (block, segments) arrays.
+    """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     seg_a = np.asarray(seg_a, dtype=float)
     seg_b = np.asarray(seg_b, dtype=float)
-    d = seg_b - seg_a
-    dd = np.einsum("ij,ij->i", d, d)
+    ax, ay = seg_a[:, 0], seg_a[:, 1]
+    dx, dy = seg_b[:, 0] - ax, seg_b[:, 1] - ay
+    dd = dx * dx + dy * dy
     dd_safe = np.where(dd > 0, dd, 1.0)
     out = np.empty(len(points))
-    for lo in range(0, len(points), chunk):
-        p = points[lo:lo + chunk]
-        w = p[:, None, :] - seg_a[None, :, :]
-        s = np.clip(np.einsum("pij,ij->pi", w, d) / dd_safe[None, :], 0.0, 1.0)
-        diff = w - s[:, :, None] * d[None, :, :]
-        out[lo:lo + chunk] = np.sqrt(np.einsum("pij,pij->pi", diff, diff).min(axis=1))
+    for lo in range(0, len(points), _DISTANCE_BLOCK):
+        p = points[lo:lo + _DISTANCE_BLOCK]
+        wx = p[:, 0:1] - ax
+        wy = p[:, 1:2] - ay
+        s = np.clip((wx * dx + wy * dy) / dd_safe, 0.0, 1.0)
+        wx -= s * dx
+        wy -= s * dy
+        out[lo:lo + _DISTANCE_BLOCK] = np.sqrt((wx * wx + wy * wy).min(axis=1))
     return out
 
 

@@ -11,11 +11,12 @@ vertices onto the graph.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .geometry import DomainSpec
+from .geometry import DomainSpec, polyline_distance
+from .quadrature import TRI_POINTS
 
 GAMMA0 = 0
 GAMMA1 = 1
@@ -33,6 +34,9 @@ class TaggedMesh:
     Triangles are positively oriented; boundary edges are directed so the
     interior lies on their left (outward normal = rotate(-90) of the edge).
     ``spec`` carries the analytic boundary for re-projection, when known.
+    Results derived from the mesh alone (its refinement, distance fields) are
+    kept in ``_cache``; ``dataclasses.replace`` starts the copy with an empty
+    one, so a rotated or re-tagged mesh never sees the original's results.
     """
 
     vertices: np.ndarray        # (nv, 2)
@@ -40,6 +44,8 @@ class TaggedMesh:
     boundary_edges: np.ndarray  # (nb, 2) int, directed
     boundary_tags: np.ndarray   # (nb,) int
     spec: DomainSpec | None = None
+    _cache: dict = field(default_factory=dict, init=False, compare=False,
+                         repr=False)
 
     @property
     def n_vertices(self) -> int:
@@ -89,6 +95,26 @@ class TaggedMesh:
 
     def gamma1_edges(self) -> np.ndarray:
         return self.boundary_edges[self.boundary_tags == GAMMA1]
+
+    def quadrature_distances(self, seg_a, seg_b) -> np.ndarray:
+        """(7, nt) distances from the TRI_POINTS quadrature points to the segments.
+
+        Row q holds the distances at ``TRI_POINTS[q]`` of every triangle.  The
+        field is computed once per segment set and returned read-only.
+        """
+        seg_a = np.ascontiguousarray(seg_a, dtype=float)
+        seg_b = np.ascontiguousarray(seg_b, dtype=float)
+        key = ("distance", seg_a.tobytes(), seg_b.tobytes())
+        dist = self._cache.get(key)
+        if dist is None:
+            V, T = self.vertices, self.triangles
+            p0, p1, p2 = V[T[:, 0]], V[T[:, 1]], V[T[:, 2]]
+            xy = np.concatenate([lam[0] * p0 + lam[1] * p1 + lam[2] * p2
+                                 for lam in TRI_POINTS])
+            dist = polyline_distance(xy, seg_a, seg_b).reshape(len(TRI_POINTS), -1)
+            dist.flags.writeable = False
+            self._cache[key] = dist
+        return dist
 
     def rotated(self, phi: float) -> "TaggedMesh":
         c, s = math.cos(phi), math.sin(phi)
@@ -229,7 +255,12 @@ def _areas(V, T):
 
 
 def refine(mesh: TaggedMesh) -> TaggedMesh:
-    """Regular 1->4 refinement; new GAMMA0 vertices projected onto the graph."""
+    """Regular 1->4 refinement; new GAMMA0 vertices projected onto the graph.
+
+    Memoized on the mesh: refining the same mesh again returns the same child.
+    """
+    if "refine" in mesh._cache:
+        return mesh._cache["refine"]
     V, T = mesh.vertices, mesh.triangles
     nv = len(V)
     pairs = np.concatenate([T[:, [0, 1]], T[:, [1, 2]], T[:, [2, 0]]])
@@ -264,6 +295,7 @@ def refine(mesh: TaggedMesh) -> TaggedMesh:
             key = tuple(sorted(uniq[mid_id - nv].tolist()))
             tags[i] = parent_tag[key]
         new_mesh = replace(new_mesh, boundary_tags=tags)
+    mesh._cache["refine"] = new_mesh
     return new_mesh
 
 

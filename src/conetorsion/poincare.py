@@ -21,7 +21,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .fem import FemField, bary_gradients
-from .geometry import BoundaryPartition, SpanInfo, polyline_distance
+from .geometry import BoundaryPartition, SpanInfo
 from .mesher import GAMMA0, GAMMA1, TaggedMesh, refine
 from .quadrature import TRI_POINTS, TRI_WEIGHTS
 
@@ -58,24 +58,25 @@ def _boundary_segments(mesh: TaggedMesh, tag: int | None = None):
     return mesh.vertices[edges[:, 0]], mesh.vertices[edges[:, 1]]
 
 
+def _distance_weights(mesh: TaggedMesh, alpha: float, seg_a, seg_b) -> np.ndarray:
+    """(7, nt) weights d^(2 alpha) at the TRI_POINTS quadrature points; 1 at alpha 0."""
+    if alpha == 0.0:
+        return np.ones((len(TRI_POINTS), mesh.n_triangles))
+    return mesh.quadrature_distances(seg_a, seg_b) ** (2.0 * alpha)
+
+
 def _p1_matrices(mesh: TaggedMesh, alpha: float, seg_a, seg_b, degree: int = 1):
     """Weighted Lagrange stiffness (weight d^(2 alpha)) and mass matrix."""
     from .fem import build_dofmap, shape_bary_grads, shape_values
 
     dofmap = build_dofmap(mesh, degree)
     G, areas = bary_gradients(mesh)
-    V, T = mesh.vertices, mesh.triangles
-    p0, p1, p2 = V[T[:, 0]], V[T[:, 1]], V[T[:, 2]]
     nt = mesh.n_triangles
     nloc = 3 if degree == 1 else 6
     Ke = np.zeros((nt, nloc, nloc))
     Me = np.zeros((nt, nloc, nloc))
-    for lam, w in zip(TRI_POINTS, TRI_WEIGHTS):
-        xy = lam[0] * p0 + lam[1] * p1 + lam[2] * p2
-        if alpha == 0.0:
-            wt = np.ones(nt)
-        else:
-            wt = polyline_distance(xy, seg_a, seg_b) ** (2.0 * alpha)
+    wts = _distance_weights(mesh, alpha, seg_a, seg_b)
+    for lam, w, wt in zip(TRI_POINTS, TRI_WEIGHTS, wts):
         Nsh = shape_values(degree, lam)
         dN = shape_bary_grads(degree, lam)
         gradN = np.einsum("la,eax->elx", dN, G)
@@ -316,18 +317,10 @@ def weighted_hessian_l2(field: FemField, alpha: float,
     """|| d(., GAMMA0)^alpha D^2 field ||_L2 with element-wise Hessians."""
     H = field.element_hessians()
     frob2 = np.einsum("exy,exy->e", H, H)
-    mesh = field.mesh
-    V, T = mesh.vertices, mesh.triangles
-    p0, p1, p2 = V[T[:, 0]], V[T[:, 1]], V[T[:, 2]]
-    seg_a, seg_b = partition.gamma0.segments()
+    wts = _distance_weights(field.mesh, alpha, *partition.gamma0.segments())
     areas = field._areas
     total = 0.0
-    for lam, w in zip(TRI_POINTS, TRI_WEIGHTS):
-        if alpha == 0.0:
-            wt = 1.0
-        else:
-            xy = lam[0] * p0 + lam[1] * p1 + lam[2] * p2
-            wt = polyline_distance(xy, seg_a, seg_b) ** (2.0 * alpha)
+    for w, wt in zip(TRI_WEIGHTS, wts):
         total += w * float(np.sum(areas * wt * frob2))
     return math.sqrt(total)
 

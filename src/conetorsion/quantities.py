@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fem import FemField, _boundary_edge_elements, interpolate
-from .geometry import DomainSpec, SpanInfo, boundary_partition, polyline_distance, segment_extremes
+from .geometry import DomainSpec, SpanInfo, boundary_partition, segment_extremes
 from .mesher import GAMMA0, GAMMA1, TaggedMesh
 from .quadrature import TRI_POINTS, TRI_WEIGHTS, edge_gauss
 
@@ -476,17 +476,13 @@ def u_distance_bounds(u: FemField, spec: DomainSpec, r_i: float,
     """
     part = boundary_partition(spec)
     a_all, b_all, _ = part.all_segments()
-    a0, b0 = part.gamma0.segments()
     mesh = u.mesh
-    V, T = mesh.vertices, mesh.triangles
-    p0, p1, p2 = V[T[:, 0]], V[T[:, 1]], V[T[:, 2]]
+    dist_b = mesh.quadrature_distances(a_all, b_all)
+    dist_g = mesh.quadrature_distances(*part.gamma0.segments())
     elems = np.arange(mesh.n_triangles)
     m_b = m_g = m_lin = np.inf
-    for lam in TRI_POINTS:
-        xy = lam[0] * p0 + lam[1] * p1 + lam[2] * p2
+    for lam, d_b, d_g in zip(TRI_POINTS, dist_b, dist_g):
         mu = -u.values(elems, lam)
-        d_b = polyline_distance(xy, a_all, b_all)
-        d_g = polyline_distance(xy, a0, b0)
         m_b = min(m_b, float(np.min(mu - 0.5 * d_b**2)))
         m_g = min(m_g, float(np.min(mu - 0.5 * d_g**2)))
         m_lin = min(m_lin, float(np.min(mu - 0.5 * r_i * d_g)))

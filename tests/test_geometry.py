@@ -11,6 +11,7 @@ from conetorsion import (ConstantRadius, DomainError, FourierRadius,
                          gamma0_length, geometry_report, interior_sphere_radius,
                          make_sector_domain, normal_span, parse_radius_spec,
                          polar_curvature, rho_extremes, serrin_radius)
+from conetorsion.geometry import _DISTANCE_BLOCK, polyline_distance
 
 # frozen quadrature oracle values for r(t) = 1 + 0.05 cos 3t
 PERT_DISK_AREA = 3.14551964440678
@@ -184,6 +185,50 @@ def test_rho_gap_vanishes_for_dense_sector_sampling():
     spec = make_sector_domain(math.pi / 2, ConstantRadius(1.0), 8192)
     rho_e, rho_i = rho_extremes(boundary_partition(spec), (0, 0))
     assert rho_e - rho_i <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# point-to-polyline distances
+# ---------------------------------------------------------------------------
+
+def _einsum_polyline_distance(points, seg_a, seg_b, chunk=4096):
+    """Reference kernel: (chunk, segments, 2) temporaries contracted by einsum."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    seg_a = np.asarray(seg_a, dtype=float)
+    seg_b = np.asarray(seg_b, dtype=float)
+    d = seg_b - seg_a
+    dd = np.einsum("ij,ij->i", d, d)
+    dd_safe = np.where(dd > 0, dd, 1.0)
+    out = np.empty(len(points))
+    for lo in range(0, len(points), chunk):
+        p = points[lo:lo + chunk]
+        w = p[:, None, :] - seg_a[None, :, :]
+        s = np.clip(np.einsum("pij,ij->pi", w, d) / dd_safe[None, :], 0.0, 1.0)
+        diff = w - s[:, :, None] * d[None, :, :]
+        out[lo:lo + chunk] = np.sqrt(np.einsum("pij,pij->pi", diff, diff).min(axis=1))
+    return out
+
+
+@pytest.mark.parametrize("n_points", [1, _DISTANCE_BLOCK, 3 * _DISTANCE_BLOCK + 5])
+def test_polyline_distance_bit_identical_to_einsum_kernel(n_points):
+    rng = np.random.default_rng(n_points)
+    seg_a = rng.normal(size=(37, 2))
+    seg_b = rng.normal(size=(37, 2))
+    seg_b[3] = seg_a[3]                       # zero-length segment
+    points = rng.normal(size=(n_points, 2))
+    points[0] = seg_a[5]                      # exactly on segment endpoints
+    if n_points > 1:
+        points[1] = seg_b[7]
+        points[-1] = seg_a[3]
+    got = polyline_distance(points, seg_a, seg_b)
+    assert np.array_equal(got, _einsum_polyline_distance(points, seg_a, seg_b))
+    assert got[0] == 0.0
+
+
+def test_polyline_distance_empty_input():
+    seg = np.array([[0.0, 0.0], [1.0, 0.0]])
+    out = polyline_distance(np.zeros((0, 2)), seg[:1], seg[1:])
+    assert out.shape == (0,)
 
 
 # ---------------------------------------------------------------------------

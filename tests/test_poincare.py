@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from scipy.special import jnp_zeros
 
 from conetorsion import (ConstantRadius, boundary_partition, h_field,
                          make_sector_domain, normal_span, rectangle_mesh,
-                         triangulate)
+                         refine, triangulate)
 from conetorsion.poincare import (_boundary_segments, _p1_matrices,
                                   _smallest_eigs, admissible_exponents,
                                   eta_ablation_eigenvalue, eta_estimate,
@@ -66,6 +67,19 @@ def test_mu_history_decreases(disk_spec):
     assert len(hist) == 3 and est.level == 2
     assert all(hist[i + 1] <= hist[i] * 1.02 for i in range(2))
     assert est.converged == (abs(hist[-1] - hist[-2]) <= 0.02 * hist[-1])
+
+
+def test_mesh_caches_are_exact_and_not_shared(disk_spec):
+    mesh = triangulate(disk_spec, 0.15)
+    warm = mu_estimate(mesh, 1.0, levels=2)
+    turned = mesh.rotated(0.3)
+    assert turned._cache == {}
+    rotated = mu_estimate(turned, 1.0, levels=2)
+    assert rotated.history == pytest.approx(warm.history, abs=1e-10)
+    assert refine(mesh) is refine(mesh)
+    fresh = refine(replace(mesh))
+    for name in ("vertices", "triangles", "boundary_edges", "boundary_tags"):
+        assert np.array_equal(getattr(refine(mesh), name), getattr(fresh, name))
 
 
 def test_mu_weighted_variants_positive(disk_spec):
