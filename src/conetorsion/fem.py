@@ -79,12 +79,18 @@ class DofMap:
     degree: int
     node_xy: np.ndarray        # (ndof, 2)
     elem_dofs: np.ndarray      # (nt, 3) or (nt, 6)
-    edge_nodes: dict           # sorted vertex pair -> global edge-node id (degree 2)
+    edge_keys: np.ndarray      # sorted edge keys (see _edge_key); edge i owns dof nv + i
     n_vertices: int
 
     @property
     def n_dofs(self) -> int:
         return len(self.node_xy)
+
+
+def _edge_key(edges: np.ndarray, n_vertices: int) -> np.ndarray:
+    """int64 key a * nv + b of each undirected edge (a < b); sorts like (a, b)."""
+    e = np.sort(np.asarray(edges, dtype=np.int64), axis=1)
+    return e[:, 0] * n_vertices + e[:, 1]
 
 
 def build_dofmap(mesh: TaggedMesh, degree: int) -> DofMap:
@@ -93,15 +99,22 @@ def build_dofmap(mesh: TaggedMesh, degree: int) -> DofMap:
     V, T = mesh.vertices, mesh.triangles
     nv = len(V)
     if degree == 1:
-        return DofMap(1, V.copy(), T.copy(), {}, nv)
+        return DofMap(1, V.copy(), T.copy(), np.empty(0, dtype=np.int64), nv)
     pairs = np.concatenate([T[:, [0, 1]], T[:, [1, 2]], T[:, [2, 0]]])
-    keys = np.sort(pairs, axis=1)
-    uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
-    mids = 0.5 * (V[uniq[:, 0]] + V[uniq[:, 1]])
+    keys, inverse = np.unique(_edge_key(pairs, nv), return_inverse=True)
+    mids = 0.5 * (V[keys // nv] + V[keys % nv])
     node_xy = np.vstack([V, mids])
     elem_dofs = np.hstack([T, nv + inverse.reshape(3, -1).T])
-    edge_nodes = {tuple(k): nv + i for i, k in enumerate(uniq.tolist())}
-    return DofMap(2, node_xy, elem_dofs, edge_nodes, nv)
+    return DofMap(2, node_xy, elem_dofs, keys, nv)
+
+
+def edge_dofs(dofmap: DofMap, edges: np.ndarray) -> np.ndarray:
+    """Global midpoint dof of each mesh edge (vertex pairs, any direction)."""
+    keys = _edge_key(edges, dofmap.n_vertices)
+    idx = np.searchsorted(dofmap.edge_keys, keys)
+    if np.any(idx >= len(dofmap.edge_keys)) or np.any(dofmap.edge_keys[idx] != keys):
+        raise FemError("edge is not an edge of the degree-2 dof map")
+    return dofmap.n_vertices + idx
 
 
 def bary_gradients(mesh: TaggedMesh) -> tuple[np.ndarray, np.ndarray]:
@@ -136,6 +149,38 @@ class LinearSystem:
     rhs_constant: float        # N in Delta u = N
 
 
+def element_stiffness(G: np.ndarray, areas: np.ndarray, degree: int,
+                      weights: np.ndarray | None = None) -> np.ndarray:
+    """Element blocks int wt grad(phi_i).grad(phi_j), shape (nt, nloc, nloc).
+
+    ``weights`` (7, nt) holds wt at the TRI_POINTS of each element; None
+    means wt = 1.  grad(phi_i).grad(phi_j) = sum_ab dN_ia dN_jb (G G^T)_ab,
+    so the per-element products area * G G^T (nt, 9) meet the reference
+    tensor sum_q w_q dN_ia dN_jb (9, nloc^2) in one matmul.
+    """
+    dN = shape_bary_grads(degree, TRI_POINTS)                      # (7, nloc, 3)
+    nloc = dN.shape[1]
+    ref = np.einsum("q,qia,qjb->qabij", TRI_WEIGHTS, dN, dN).reshape(
+        len(TRI_WEIGHTS), 9, nloc * nloc)
+    GG = areas[:, None] * np.einsum("eax,ebx->eab", G, G).reshape(-1, 9)
+    if weights is None:
+        Ke = GG @ ref.sum(axis=0)
+    else:
+        Ke = (weights.T[:, :, None] * GG[:, None, :]).reshape(len(G), -1) \
+            @ ref.reshape(-1, nloc * nloc)
+    return Ke.reshape(-1, nloc, nloc)
+
+
+def scatter(dofmap: DofMap, Ke: np.ndarray) -> sp.csr_matrix:
+    """Global sparse matrix from element blocks (nt, nloc, nloc)."""
+    dofs = dofmap.elem_dofs
+    nloc = dofs.shape[1]
+    rows = np.repeat(dofs, nloc, axis=1).ravel()
+    cols = np.tile(dofs, (1, nloc)).ravel()
+    return sp.coo_matrix((Ke.ravel(), (rows, cols)),
+                         shape=(dofmap.n_dofs, dofmap.n_dofs)).tocsr()
+
+
 def assemble(mesh: TaggedMesh, degree: int = 2, N: int = 2) -> LinearSystem:
     """Stiffness/load of the torsion problem with GAMMA0 Dirichlet set.
 
@@ -144,37 +189,22 @@ def assemble(mesh: TaggedMesh, degree: int = 2, N: int = 2) -> LinearSystem:
     """
     if N != 2:
         raise FemError("the planar solver assembles Delta u = N with N = 2")
-    if not np.any(mesh.boundary_tags == GAMMA0):
+    gamma0 = mesh.boundary_tags == GAMMA0
+    if not np.any(gamma0):
         raise FemError("mesh has no GAMMA0 edges; pure Neumann problem rejected")
     dofmap = build_dofmap(mesh, degree)
     G, areas = bary_gradients(mesh)
-    nloc = 3 if degree == 1 else 6
-    nt = mesh.n_triangles
-    Ke = np.zeros((nt, nloc, nloc))
-    be = np.zeros((nt, nloc))
-    for lam, w in zip(TRI_POINTS, TRI_WEIGHTS):
-        Nsh = shape_values(degree, lam)                      # (nloc,)
-        dN = shape_bary_grads(degree, lam)                   # (nloc, 3)
-        gradN = np.einsum("la,eax->elx", dN, G)              # (nt, nloc, 2)
-        Ke += w * areas[:, None, None] * np.einsum("eix,ejx->eij", gradN, gradN)
-        be += -N * w * areas[:, None] * Nsh[None, :]
-    dofs = dofmap.elem_dofs
-    rows = np.repeat(dofs, nloc, axis=1).ravel()
-    cols = np.tile(dofs, (1, nloc)).ravel()
-    A = sp.coo_matrix((Ke.ravel(), (rows, cols)),
-                      shape=(dofmap.n_dofs, dofmap.n_dofs)).tocsr()
+    A = scatter(dofmap, element_stiffness(G, areas, degree))
+    shape_integrals = TRI_WEIGHTS @ shape_values(degree, TRI_POINTS)   # (nloc,)
     b = np.zeros(dofmap.n_dofs)
-    np.add.at(b, dofs.ravel(), be.ravel())
+    np.add.at(b, dofmap.elem_dofs.ravel(),
+              (-N * areas[:, None] * shape_integrals).ravel())
 
-    fixed = set()
-    for (a, c), tag in zip(mesh.boundary_edges, mesh.boundary_tags):
-        if tag != GAMMA0:
-            continue
-        fixed.add(int(a))
-        fixed.add(int(c))
-        if degree == 2:
-            fixed.add(dofmap.edge_nodes[tuple(sorted((int(a), int(c))))])
-    dirichlet = np.array(sorted(fixed), dtype=np.int64)
+    edges = mesh.boundary_edges[gamma0]
+    fixed = [edges.ravel()]
+    if degree == 2:
+        fixed.append(edge_dofs(dofmap, edges))
+    dirichlet = np.unique(np.concatenate(fixed)).astype(np.int64)
     return LinearSystem(A, b, dirichlet, dofmap, mesh, float(N))
 
 
@@ -287,18 +317,37 @@ def hessian_on(field: FemField, element: int) -> np.ndarray:
 # solve
 # ---------------------------------------------------------------------------
 
-def _boundary_edge_elements(mesh: TaggedMesh) -> dict:
-    """sorted boundary vertex pair -> owning element index."""
-    T = mesh.triangles
-    out = {}
-    edges = np.concatenate([T[:, [0, 1]], T[:, [1, 2]], T[:, [2, 0]]])
-    owner = np.tile(np.arange(len(T)), 3)
-    keys = np.sort(edges, axis=1)
-    boundary = set(map(tuple, np.sort(mesh.boundary_edges, axis=1).tolist()))
-    for key, el in zip(map(tuple, keys.tolist()), owner):
-        if key in boundary:
-            out[key] = int(el)
-    return out
+def _boundary_edge_elements(mesh: TaggedMesh) -> np.ndarray:
+    """Owning element of each row of ``mesh.boundary_edges`` (cached, read-only)."""
+    owner = mesh._cache.get("boundary_owner")
+    if owner is None:
+        T, nv = mesh.triangles, mesh.n_vertices
+        keys = _edge_key(np.concatenate([T[:, [0, 1]], T[:, [1, 2]], T[:, [2, 0]]]), nv)
+        order = np.argsort(keys)
+        # a boundary edge belongs to exactly one triangle, so its key is unique
+        pos = np.searchsorted(keys[order], _edge_key(mesh.boundary_edges, nv))
+        owner = order[pos] % len(T)
+        owner.flags.writeable = False
+        mesh._cache["boundary_owner"] = owner
+    return owner
+
+
+def factor_spd(A) -> spla.SuperLU:
+    """Sparse LU of a symmetric positive definite matrix.
+
+    Symmetric minimum-degree ordering on A^T + A with diagonal pivots keeps
+    the fill of a Cholesky factor; the same factor serves the solves and the
+    shift-invert eigensolves.  A non-positive diagonal entry (never SPD) or
+    an exactly singular factor raises FemError.
+    """
+    A = sp.csc_matrix(A)
+    if not np.all(A.diagonal() > 0):
+        raise FemError("matrix is not positive definite: non-positive diagonal")
+    try:
+        return spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                         options={"SymmetricMode": True})
+    except RuntimeError as exc:
+        raise FemError(f"sparse factorization failed: {exc}") from exc
 
 
 def solve(system: LinearSystem, curved_correction: bool = True) -> FemField:
@@ -316,12 +365,10 @@ def solve(system: LinearSystem, curved_correction: bool = True) -> FemField:
         raise FemError(f"assembled matrix is not symmetric: {asym:g}")
     fixed = system.dirichlet
     free = np.setdiff1d(np.arange(n), fixed, assume_unique=True)
-    A_ff = A[free][:, free].tocsc()
-    A_fc = A[free][:, fixed]
-    try:
-        lu = spla.splu(A_ff)
-    except RuntimeError as exc:
-        raise FemError(f"sparse factorization failed: {exc}") from exc
+    A_f = A[free]
+    A_ff = A_f[:, free].tocsc()
+    A_fc = A_f[:, fixed]
+    lu = factor_spd(A_ff)
 
     def solve_with(gvals: np.ndarray) -> np.ndarray:
         u = np.zeros(n)
@@ -334,25 +381,19 @@ def solve(system: LinearSystem, curved_correction: bool = True) -> FemField:
 
     mesh = system.mesh
     if (curved_correction and system.dofmap.degree == 2 and mesh.spec is not None):
-        edge_owner = _boundary_edge_elements(mesh)
+        rows = np.flatnonzero(mesh.boundary_tags == GAMMA0)
+        dofs = edge_dofs(system.dofmap, mesh.boundary_edges[rows])
+        m = system.dofmap.node_xy[dofs]
+        p = mesh.spec.project_to_gamma0(m)
+        # the centroid gradient keeps the correction uniformly first order
+        grad = field.gradients(_boundary_edge_elements(mesh)[rows],
+                               np.full(3, 1.0 / 3.0))
         gvals = np.zeros(len(fixed))
-        pos = {int(d): i for i, d in enumerate(fixed)}
-        centroid = np.full(3, 1.0 / 3.0)
-        for (a, c), tag in zip(mesh.boundary_edges, mesh.boundary_tags):
-            if tag != GAMMA0:
-                continue
-            key = tuple(sorted((int(a), int(c))))
-            dof = system.dofmap.edge_nodes[key]
-            m = system.dofmap.node_xy[dof]
-            p = mesh.spec.project_to_gamma0(m[None, :])[0]
-            el = edge_owner[key]
-            # the centroid gradient keeps the correction uniformly first order
-            grad = field.gradients(np.asarray([el]), centroid[None, :])[0]
-            gvals[pos[dof]] = -float(grad @ (p - m))
+        gvals[np.searchsorted(fixed, dofs)] = -np.einsum("ex,ex->e", grad, p - m)
         u = solve_with(gvals)
         field = FemField(system.mesh, system.dofmap.degree, u, system.dofmap)
 
-    resid = A[free][:, free] @ u[free] - (b[free] - A_fc @ u[fixed])
+    resid = A_ff @ u[free] - (b[free] - A_fc @ u[fixed])
     scale = max(float(np.linalg.norm(b[free])), 1e-30)
     rel = float(np.linalg.norm(resid)) / scale
     if rel > 1e-10:
@@ -360,13 +401,6 @@ def solve(system: LinearSystem, curved_correction: bool = True) -> FemField:
     field.diagnostics.update({"relative_residual": rel,
                               "n_dofs": n, "n_fixed": len(fixed)})
     return field
-
-
-def _bary_of_point(mesh: TaggedMesh, element: int, p: np.ndarray) -> np.ndarray:
-    V, T = mesh.vertices, mesh.triangles
-    inv = _inverse_jacobians(V, T[element:element + 1])[0]
-    lam12 = inv @ (p - V[T[element, 0]])
-    return np.array([1.0 - lam12.sum(), lam12[0], lam12[1]])
 
 
 def galerkin_residual(system: LinearSystem, field: FemField) -> float:

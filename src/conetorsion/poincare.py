@@ -20,7 +20,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .fem import FemField, bary_gradients
+from .fem import (FemField, bary_gradients, build_dofmap, edge_dofs,
+                  element_stiffness, factor_spd, scatter, shape_values)
 from .geometry import BoundaryPartition, SpanInfo
 from .mesher import GAMMA0, GAMMA1, TaggedMesh, refine
 from .quadrature import TRI_POINTS, TRI_WEIGHTS
@@ -67,37 +68,25 @@ def _distance_weights(mesh: TaggedMesh, alpha: float, seg_a, seg_b) -> np.ndarra
 
 def _p1_matrices(mesh: TaggedMesh, alpha: float, seg_a, seg_b, degree: int = 1):
     """Weighted Lagrange stiffness (weight d^(2 alpha)) and mass matrix."""
-    from .fem import build_dofmap, shape_bary_grads, shape_values
-
     dofmap = build_dofmap(mesh, degree)
     G, areas = bary_gradients(mesh)
-    nt = mesh.n_triangles
-    nloc = 3 if degree == 1 else 6
-    Ke = np.zeros((nt, nloc, nloc))
-    Me = np.zeros((nt, nloc, nloc))
-    wts = _distance_weights(mesh, alpha, seg_a, seg_b)
-    for lam, w, wt in zip(TRI_POINTS, TRI_WEIGHTS, wts):
-        Nsh = shape_values(degree, lam)
-        dN = shape_bary_grads(degree, lam)
-        gradN = np.einsum("la,eax->elx", dN, G)
-        Ke += (w * areas * wt)[:, None, None] * np.einsum(
-            "eix,ejx->eij", gradN, gradN)
-        Me += (w * areas)[:, None, None] * np.outer(Nsh, Nsh)[None, :, :]
-    dofs = dofmap.elem_dofs
-    rows = np.repeat(dofs, nloc, axis=1).ravel()
-    cols = np.tile(dofs, (1, nloc)).ravel()
-    n = dofmap.n_dofs
-    A = sp.coo_matrix((Ke.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-    M = sp.coo_matrix((Me.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    weights = _distance_weights(mesh, alpha, seg_a, seg_b)
+    Nsh = shape_values(degree, TRI_POINTS)                       # (7, nloc)
+    mass = np.einsum("q,qi,qj->ij", TRI_WEIGHTS, Nsh, Nsh)
+    A = scatter(dofmap, element_stiffness(G, areas, degree, weights))
+    M = scatter(dofmap, areas[:, None, None] * mass)
     return A, M
 
 
 def _smallest_eigs(A, M, k: int = 4, sigma: float = -1.0) -> np.ndarray:
+    """Eigenvalues of (A, M) nearest sigma, by shift-invert on one SPD factor."""
     n = A.shape[0]
     k = min(k, n - 1)
     v0 = 1.0 + 0.25 * np.cos(0.7 * np.arange(n))   # deterministic start
     try:
-        vals = spla.eigsh(A.tocsc(), k=k, M=M.tocsc(), sigma=sigma,
+        OPinv = spla.LinearOperator((n, n), matvec=factor_spd(A - sigma * M).solve,
+                                    dtype=float)
+        vals = spla.eigsh(A, k=k, M=M, sigma=sigma, OPinv=OPinv,
                           v0=v0, return_eigenvectors=False)
     except Exception as exc:   # ARPACK failures surface as various types
         raise EigenError(f"eigenvalue solve failed: {exc}") from exc
@@ -165,12 +154,12 @@ def _gamma1_node_normals(mesh: TaggedMesh, dofmap) -> dict:
     rows = np.flatnonzero(mesh.boundary_tags == GAMMA1)
     normals = mesh.boundary_normals()[rows]
     edges = mesh.boundary_edges[rows]
+    nodes = edges.tolist()
+    if dofmap.degree == 2:
+        nodes = np.column_stack([edges, edge_dofs(dofmap, edges)]).tolist()
     out: dict[int, list] = {}
-    for (a, b), nu in zip(edges.tolist(), normals):
-        nodes = [int(a), int(b)]
-        if dofmap.degree == 2:
-            nodes.append(dofmap.edge_nodes[tuple(sorted((int(a), int(b))))])
-        for v in nodes:
+    for row, nu in zip(nodes, normals):
+        for v in row:
             lst = out.setdefault(v, [])
             if not any(abs(nu @ e) > 1 - 1e-12 for e in lst):
                 lst.append(nu)
@@ -213,8 +202,6 @@ def eta_estimate(mesh: TaggedMesh, partition: BoundaryPartition, span: SpanInfo,
     constants become admissible and the smallest eigenvalue collapses to 0);
     ``degree`` selects the field space (1 by default, 2 optional).
     """
-    from .fem import build_dofmap
-
     _check_alpha(alpha)
     history = []
     current = mesh
@@ -225,9 +212,7 @@ def eta_estimate(mesh: TaggedMesh, partition: BoundaryPartition, span: SpanInfo,
         M2 = sp.kron(M, sp.identity(2), format="csr")
         Z = _constraint_basis(current, span, drop_constraint,
                               build_dofmap(current, degree))
-        Ar = (Z.T @ A2 @ Z).tocsc()
-        Mr = (Z.T @ M2 @ Z).tocsc()
-        vals = _smallest_eigs(Ar, Mr)
+        vals = _smallest_eigs(Z.T @ A2 @ Z, Z.T @ M2 @ Z)
         if drop_constraint:
             history.append(math.sqrt(max(vals[0], 0.0)))
         else:
@@ -246,14 +231,12 @@ def eta_estimate(mesh: TaggedMesh, partition: BoundaryPartition, span: SpanInfo,
 def eta_ablation_eigenvalue(mesh: TaggedMesh, partition: BoundaryPartition,
                             span: SpanInfo, alpha: float = 0.0) -> float:
     """Smallest raw eigenvalue with the GAMMA1 constraint removed (~0)."""
-    from .fem import build_dofmap
-
     seg_a0, seg_b0 = partition.gamma0.segments()
     A, M = _p1_matrices(mesh, alpha, seg_a0, seg_b0)
     A2 = sp.kron(A, sp.identity(2), format="csr")
     M2 = sp.kron(M, sp.identity(2), format="csr")
     Z = _constraint_basis(mesh, span, True, build_dofmap(mesh, 1))
-    vals = _smallest_eigs((Z.T @ A2 @ Z).tocsc(), (Z.T @ M2 @ Z).tocsc())
+    vals = _smallest_eigs(Z.T @ A2 @ Z, Z.T @ M2 @ Z)
     return float(vals[0])
 
 

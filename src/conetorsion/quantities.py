@@ -58,9 +58,7 @@ class EdgeTrace:
 def edge_trace(mesh: TaggedMesh, tag: int, n_gauss: int = 3) -> EdgeTrace:
     rows = np.flatnonzero(mesh.boundary_tags == tag)
     edges = mesh.boundary_edges[rows]
-    owner_of = _boundary_edge_elements(mesh)
-    elements = np.array([owner_of[tuple(sorted(e))] for e in edges.tolist()],
-                        dtype=np.int64)
+    elements = _boundary_edge_elements(mesh)[rows]
     a = mesh.vertices[edges[:, 0]]
     b = mesh.vertices[edges[:, 1]]
     d = b - a
@@ -85,12 +83,7 @@ def edge_trace(mesh: TaggedMesh, tag: int, n_gauss: int = 3) -> EdgeTrace:
 def collar_edge_mask(mesh: TaggedMesh, trace: EdgeTrace) -> np.ndarray:
     """GAMMA0 edges touching a GAMMA0/GAMMA1 corner (one-edge collar)."""
     g1 = mesh.boundary_edges[mesh.boundary_tags == GAMMA1]
-    if len(g1) == 0:
-        return np.zeros(len(trace.edge_rows), dtype=bool)
-    corner_vertices = set(np.unique(g1).tolist())
-    edges = mesh.boundary_edges[trace.edge_rows]
-    return np.array([(int(a) in corner_vertices) or (int(b) in corner_vertices)
-                     for a, b in edges])
+    return np.isin(mesh.boundary_edges[trace.edge_rows], g1).any(axis=1)
 
 
 # ---------------------------------------------------------------------------

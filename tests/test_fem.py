@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conetorsion import (GAMMA1, FemError, assemble, gradient_at,
+from conetorsion import (GAMMA0, GAMMA1, FemError, assemble, gradient_at,
                          hessian_on, interpolate, l2_error, rectangle_mesh,
                          refine, solve, triangulate)
 from conetorsion.fem import galerkin_residual
@@ -42,6 +42,42 @@ def test_stiffness_row_sums_vanish(quarter_solve):
 def test_matrix_symmetric(quarter_solve):
     A = quarter_solve.system.matrix
     assert abs(A - A.T).max() <= 1e-12 * abs(A).max()
+
+
+def _element_loop_oracle(mesh, degree, weights):
+    """The earlier per-quadrature-point element kernel: stiffness and load."""
+    from conetorsion.fem import bary_gradients, shape_bary_grads, shape_values
+    from conetorsion.quadrature import TRI_POINTS, TRI_WEIGHTS
+    G, areas = bary_gradients(mesh)
+    nloc = 3 if degree == 1 else 6
+    nt = mesh.n_triangles
+    Ke = np.zeros((nt, nloc, nloc))
+    be = np.zeros((nt, nloc))
+    for lam, w, wt in zip(TRI_POINTS, TRI_WEIGHTS, weights):
+        Nsh = shape_values(degree, lam)
+        dN = shape_bary_grads(degree, lam)
+        gradN = np.einsum("la,eax->elx", dN, G)
+        Ke += (w * areas * wt)[:, None, None] * np.einsum("eix,ejx->eij", gradN, gradN)
+        be += -2 * w * areas[:, None] * Nsh[None, :]
+    return Ke, be
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_element_kernel_matches_quadrature_loop(quarter_solve, degree):
+    from conetorsion.fem import bary_gradients, element_stiffness
+    from conetorsion.poincare import _boundary_segments, _distance_weights
+    mesh = quarter_solve.mesh
+    G, areas = bary_gradients(mesh)
+    ones = np.ones((7, mesh.n_triangles))
+    weights = _distance_weights(mesh, 1.0, *_boundary_segments(mesh))
+    for wt, given in ((ones, None), (ones, ones), (weights, weights)):
+        Ke, be = _element_loop_oracle(mesh, degree, wt)
+        new = element_stiffness(G, areas, degree, given)
+        assert np.abs(new - Ke).max() <= 1e-13 * np.abs(Ke).max()
+    system = assemble(mesh, degree)
+    b = np.zeros(system.dofmap.n_dofs)
+    np.add.at(b, system.dofmap.elem_dofs.ravel(), be.ravel())
+    np.testing.assert_allclose(system.load, b, rtol=0, atol=1e-15)
 
 
 def test_pure_neumann_rejected():
@@ -182,3 +218,130 @@ def test_hessian_trace_consistent_with_equation(quarter_solve):
     areas = quarter_solve.mesh.areas
     mean_trace = float(np.sum(areas * traces) / np.sum(areas))
     assert abs(mean_trace - 2.0) <= 3.0 * quarter_solve.mesh.h_max
+
+
+# ---------------------------------------------------------------------------
+# dof map, boundary owners and the SPD factor against the earlier code
+# ---------------------------------------------------------------------------
+
+def _dofmap_oracle(mesh):
+    """The earlier tuple-keyed P2 dof map: (elem_dofs, sorted pair -> dof)."""
+    V, T = mesh.vertices, mesh.triangles
+    nv = len(V)
+    pairs = np.concatenate([T[:, [0, 1]], T[:, [1, 2]], T[:, [2, 0]]])
+    keys = np.sort(pairs, axis=1)
+    uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
+    elem_dofs = np.hstack([T, nv + inverse.reshape(3, -1).T])
+    edge_nodes = {tuple(k): nv + i for i, k in enumerate(uniq.tolist())}
+    return elem_dofs, edge_nodes
+
+
+def _dirichlet_oracle(mesh, edge_nodes):
+    fixed = set()
+    for (a, c), tag in zip(mesh.boundary_edges, mesh.boundary_tags):
+        if tag != GAMMA0:
+            continue
+        fixed.add(int(a))
+        fixed.add(int(c))
+        fixed.add(edge_nodes[tuple(sorted((int(a), int(c))))])
+    return np.array(sorted(fixed), dtype=np.int64)
+
+
+def _boundary_owner_oracle(mesh) -> dict:
+    """The earlier dict lookup: sorted boundary vertex pair -> owning element."""
+    T = mesh.triangles
+    out = {}
+    edges = np.concatenate([T[:, [0, 1]], T[:, [1, 2]], T[:, [2, 0]]])
+    owner = np.tile(np.arange(len(T)), 3)
+    keys = np.sort(edges, axis=1)
+    boundary = set(map(tuple, np.sort(mesh.boundary_edges, axis=1).tolist()))
+    for key, el in zip(map(tuple, keys.tolist()), owner):
+        if key in boundary:
+            out[key] = int(el)
+    return out
+
+
+@pytest.fixture(scope="module")
+def oracle_meshes(disk_spec, quarter_spec):
+    return [triangulate(disk_spec, 0.1), triangulate(quarter_spec, 0.08),
+            refine(triangulate(quarter_spec, 0.15))]
+
+
+def test_dofmap_and_owners_match_dict_oracles(oracle_meshes):
+    from conetorsion.fem import _boundary_edge_elements, build_dofmap, edge_dofs
+    from conetorsion.quantities import collar_edge_mask, edge_trace
+    for mesh in oracle_meshes:
+        elem_dofs, edge_nodes = _dofmap_oracle(mesh)
+        dofmap = build_dofmap(mesh, 2)
+        assert np.array_equal(dofmap.elem_dofs, elem_dofs)
+        assert np.array_equal(assemble(mesh, 2).dirichlet,
+                              _dirichlet_oracle(mesh, edge_nodes))
+        edges = mesh.boundary_edges
+        assert np.array_equal(
+            edge_dofs(dofmap, edges),
+            [edge_nodes[tuple(sorted(e))] for e in edges.tolist()])
+        owner = _boundary_owner_oracle(mesh)
+        assert np.array_equal(_boundary_edge_elements(mesh),
+                              [owner[tuple(sorted(e))] for e in edges.tolist()])
+        tr = edge_trace(mesh, GAMMA0, 3)
+        corners = set(np.unique(mesh.boundary_edges[mesh.boundary_tags == GAMMA1]))
+        assert np.array_equal(collar_edge_mask(mesh, tr), [
+            int(a) in corners or int(b) in corners
+            for a, b in mesh.boundary_edges[tr.edge_rows]])
+
+
+def test_edge_dofs_rejects_a_non_edge(quarter_solve):
+    from conetorsion.fem import edge_dofs
+    with pytest.raises(FemError):
+        edge_dofs(quarter_solve.system.dofmap, [[0, quarter_solve.mesh.n_vertices - 1]])
+
+
+def _reduced(system):
+    free = np.setdiff1d(np.arange(system.matrix.shape[0]), system.dirichlet)
+    return system.matrix[free][:, free], system.load[free]
+
+
+def test_factor_spd_matches_default_lu(oracle_meshes, quarter_spec):
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+    from conetorsion import boundary_partition, normal_span
+    from conetorsion.fem import build_dofmap, factor_spd
+    from conetorsion.poincare import (_boundary_segments, _constraint_basis,
+                                      _p1_matrices)
+    systems = [_reduced(assemble(mesh, 2)) for mesh in oracle_meshes]
+    mesh = oracle_meshes[1]
+    rng = np.random.default_rng(3)
+    for alpha in (0.0, 1.0):
+        A, M = _p1_matrices(mesh, alpha, *_boundary_segments(mesh))
+        systems.append((A + M, rng.standard_normal(A.shape[0])))
+    part = boundary_partition(quarter_spec)
+    A, M = _p1_matrices(mesh, 0.5, *part.gamma0.segments())
+    Z = _constraint_basis(mesh, normal_span(part), False, build_dofmap(mesh, 1))
+    A2 = Z.T @ sp.kron(A, sp.identity(2)) @ Z
+    M2 = Z.T @ sp.kron(M, sp.identity(2)) @ Z
+    systems.append((A2 + M2, rng.standard_normal(A2.shape[0])))
+    for A, b in systems:
+        x = factor_spd(A).solve(b)
+        ref = spla.splu(sp.csc_matrix(A)).solve(b)
+        assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("matrix", [
+    [[1.0, 1.0], [1.0, 1.0]],                      # singular
+    [[2.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]],
+    [[1.0, 0.0], [0.0, -1.0]],                     # indefinite
+    [[0.0, 1.0], [1.0, 0.0]],
+])
+def test_factor_spd_rejects_singular_and_indefinite(matrix):
+    from conetorsion.fem import factor_spd
+    with pytest.raises(FemError):
+        factor_spd(np.array(matrix))
+
+
+def test_solve_rejects_a_wrong_factor(quarter_spec, monkeypatch):
+    from conetorsion import fem
+    system = assemble(triangulate(quarter_spec, 0.1), 2)
+    real = fem.factor_spd
+    monkeypatch.setattr(fem, "factor_spd", lambda A: real(2.0 * A))
+    with pytest.raises(FemError, match="relative residual"):
+        solve(system)

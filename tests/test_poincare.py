@@ -107,6 +107,37 @@ def test_degree_two_eigen_option(disk_spec, quarter_spec):
     assert e2 == pytest.approx(BESSEL_J1_PRIME_ROOT, rel=0.005)
 
 
+def _smallest_eigs_colamd(A, M, k: int = 4, sigma: float = -1.0) -> np.ndarray:
+    """The earlier eigensolve: ARPACK builds its own default (COLAMD) LU."""
+    import scipy.sparse.linalg as spla
+    n = A.shape[0]
+    k = min(k, n - 1)
+    v0 = 1.0 + 0.25 * np.cos(0.7 * np.arange(n))
+    vals = spla.eigsh(A.tocsc(), k=k, M=M.tocsc(), sigma=sigma,
+                      v0=v0, return_eigenvectors=False)
+    return np.sort(np.real(vals))
+
+
+def test_histories_match_the_colamd_eigensolve(disk_spec, quarter_spec,
+                                               monkeypatch):
+    from conetorsion import poincare
+    part = boundary_partition(quarter_spec)
+    span = normal_span(part)
+    disk, quarter = triangulate(disk_spec, 0.15), triangulate(quarter_spec, 0.12)
+
+    def histories():
+        out = []
+        for alpha in (0.0, 0.5, 1.0):
+            out.append(mu_estimate(disk, alpha, levels=2).history)
+            out.append(mu_estimate(quarter, alpha, levels=2).history)
+            out.append(eta_estimate(quarter, part, span, alpha, levels=2).history)
+        return np.array(out)
+
+    new = histories()
+    monkeypatch.setattr(poincare, "_smallest_eigs", _smallest_eigs_colamd)
+    np.testing.assert_allclose(new, histories(), rtol=1e-10, atol=0)
+
+
 # ---------------------------------------------------------------------------
 # eta
 # ---------------------------------------------------------------------------
