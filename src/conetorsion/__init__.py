@@ -12,16 +12,15 @@ from .geometry import (BoundaryPartition, Cone2D, ConstantRadius, DomainError,
                        rho_extremes, serrin_radius)
 from .mesher import (GAMMA0, GAMMA1, MeshError, TaggedMesh, read_mesh,
                      rectangle_mesh, refine, triangulate, write_mesh)
-from .fem import (FemError, FemField, LinearSystem, assemble, gradient_at,
-                  h1_seminorm_error, hessian_on, interpolate, l2_error, solve,
-                  write_solution)
+from .fem import (FemError, FemField, LinearSystem, assemble, h1_seminorm_error,
+                  interpolate, l2_error, solve, write_solution)
 from .quantities import (BoundaryField, Center, CenterError, DeficitReport,
                          alternative_center, compute_center, cs_deficit,
                          deficits, gamma0_grad_norm, h_field,
                          identity_residual, max_depth, max_gradient,
                          normal_derivative, u_distance_bounds)
 from .poincare import (EigenError, PoincareEstimate, admissible_exponents,
-                       eta_ablation_eigenvalue, eta_estimate, lambda_constant,
+                       eta_estimate, lambda_constant,
                        mixed_gradient_poincare_check, mu_estimate,
                        theorem_constant, weighted_hessian_l2)
 from .stability import (ExponentFit, Family, SweepError, SweepResult,

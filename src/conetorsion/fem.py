@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .mesher import GAMMA0, TaggedMesh
+from .mesher import GAMMA0, TaggedMesh, edge_key, triangle_edges
 from .quadrature import TRI_POINTS, TRI_WEIGHTS
 
 
@@ -79,18 +79,12 @@ class DofMap:
     degree: int
     node_xy: np.ndarray        # (ndof, 2)
     elem_dofs: np.ndarray      # (nt, 3) or (nt, 6)
-    edge_keys: np.ndarray      # sorted edge keys (see _edge_key); edge i owns dof nv + i
+    edge_keys: np.ndarray      # sorted edge keys (mesher.edge_key); edge i owns dof nv + i
     n_vertices: int
 
     @property
     def n_dofs(self) -> int:
         return len(self.node_xy)
-
-
-def _edge_key(edges: np.ndarray, n_vertices: int) -> np.ndarray:
-    """int64 key a * nv + b of each undirected edge (a < b); sorts like (a, b)."""
-    e = np.sort(np.asarray(edges, dtype=np.int64), axis=1)
-    return e[:, 0] * n_vertices + e[:, 1]
 
 
 def build_dofmap(mesh: TaggedMesh, degree: int) -> DofMap:
@@ -100,8 +94,7 @@ def build_dofmap(mesh: TaggedMesh, degree: int) -> DofMap:
     nv = len(V)
     if degree == 1:
         return DofMap(1, V.copy(), T.copy(), np.empty(0, dtype=np.int64), nv)
-    pairs = np.concatenate([T[:, [0, 1]], T[:, [1, 2]], T[:, [2, 0]]])
-    keys, inverse = np.unique(_edge_key(pairs, nv), return_inverse=True)
+    keys, inverse = np.unique(edge_key(triangle_edges(T), nv), return_inverse=True)
     mids = 0.5 * (V[keys // nv] + V[keys % nv])
     node_xy = np.vstack([V, mids])
     elem_dofs = np.hstack([T, nv + inverse.reshape(3, -1).T])
@@ -110,7 +103,7 @@ def build_dofmap(mesh: TaggedMesh, degree: int) -> DofMap:
 
 def edge_dofs(dofmap: DofMap, edges: np.ndarray) -> np.ndarray:
     """Global midpoint dof of each mesh edge (vertex pairs, any direction)."""
-    keys = _edge_key(edges, dofmap.n_vertices)
+    keys = edge_key(edges, dofmap.n_vertices)
     idx = np.searchsorted(dofmap.edge_keys, keys)
     if np.any(idx >= len(dofmap.edge_keys)) or np.any(dofmap.edge_keys[idx] != keys):
         raise FemError("edge is not an edge of the degree-2 dof map")
@@ -118,21 +111,28 @@ def edge_dofs(dofmap: DofMap, edges: np.ndarray) -> np.ndarray:
 
 
 def bary_gradients(mesh: TaggedMesh) -> tuple[np.ndarray, np.ndarray]:
-    """Per-element gradients of (lambda_0, lambda_1, lambda_2) and areas."""
+    """Per-element gradients of (lambda_0, lambda_1, lambda_2) and areas.
+
+    G[:, 1:] is the inverse Jacobian of the map from (lambda_1, lambda_2) to
+    x - p0.  Both arrays are cached on the mesh, read-only.
+    """
+    cached = mesh._cache.get("bary_gradients")
+    if cached is not None:
+        return cached
     V, T = mesh.vertices, mesh.triangles
     p0, p1, p2 = V[T[:, 0]], V[T[:, 1]], V[T[:, 2]]
     d1, d2 = p1 - p0, p2 - p0
     det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-    inv = np.empty((len(T), 2, 2))
-    inv[:, 0, 0] = d2[:, 1] / det
-    inv[:, 0, 1] = -d2[:, 0] / det
-    inv[:, 1, 0] = -d1[:, 1] / det
-    inv[:, 1, 1] = d1[:, 0] / det
     G = np.empty((len(T), 3, 2))
-    G[:, 1] = inv[:, 0, :]
-    G[:, 2] = inv[:, 1, :]
+    G[:, 1, 0] = d2[:, 1] / det
+    G[:, 1, 1] = -d2[:, 0] / det
+    G[:, 2, 0] = -d1[:, 1] / det
+    G[:, 2, 1] = d1[:, 0] / det
     G[:, 0] = -G[:, 1] - G[:, 2]
-    return G, 0.5 * det
+    areas = 0.5 * det
+    G.flags.writeable = areas.flags.writeable = False
+    mesh._cache["bary_gradients"] = G, areas
+    return G, areas
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +146,6 @@ class LinearSystem:
     dirichlet: np.ndarray      # sorted dof indices on GAMMA0
     dofmap: DofMap
     mesh: TaggedMesh
-    rhs_constant: float        # N in Delta u = N
 
 
 def element_stiffness(G: np.ndarray, areas: np.ndarray, degree: int,
@@ -181,14 +180,12 @@ def scatter(dofmap: DofMap, Ke: np.ndarray) -> sp.csr_matrix:
                          shape=(dofmap.n_dofs, dofmap.n_dofs)).tocsr()
 
 
-def assemble(mesh: TaggedMesh, degree: int = 2, N: int = 2) -> LinearSystem:
-    """Stiffness/load of the torsion problem with GAMMA0 Dirichlet set.
+def assemble(mesh: TaggedMesh, degree: int = 2) -> LinearSystem:
+    """Stiffness/load of the torsion problem Delta u = 2 with GAMMA0 Dirichlet set.
 
     Quadrature is exact for polynomials of degree 2*degree; a mesh without
     GAMMA0 edges is rejected (the problem always carries a Dirichlet part).
     """
-    if N != 2:
-        raise FemError("the planar solver assembles Delta u = N with N = 2")
     gamma0 = mesh.boundary_tags == GAMMA0
     if not np.any(gamma0):
         raise FemError("mesh has no GAMMA0 edges; pure Neumann problem rejected")
@@ -198,14 +195,14 @@ def assemble(mesh: TaggedMesh, degree: int = 2, N: int = 2) -> LinearSystem:
     shape_integrals = TRI_WEIGHTS @ shape_values(degree, TRI_POINTS)   # (nloc,)
     b = np.zeros(dofmap.n_dofs)
     np.add.at(b, dofmap.elem_dofs.ravel(),
-              (-N * areas[:, None] * shape_integrals).ravel())
+              (-2 * areas[:, None] * shape_integrals).ravel())
 
     edges = mesh.boundary_edges[gamma0]
     fixed = [edges.ravel()]
     if degree == 2:
         fixed.append(edge_dofs(dofmap, edges))
     dirichlet = np.unique(np.concatenate(fixed)).astype(np.int64)
-    return LinearSystem(A, b, dirichlet, dofmap, mesh, float(N))
+    return LinearSystem(A, b, dirichlet, dofmap, mesh)
 
 
 # ---------------------------------------------------------------------------
@@ -213,16 +210,23 @@ def assemble(mesh: TaggedMesh, degree: int = 2, N: int = 2) -> LinearSystem:
 # ---------------------------------------------------------------------------
 
 class FemField:
-    """Scalar finite-element field on a tagged mesh."""
+    """Scalar finite-element field on a tagged mesh.
+
+    ``values`` and ``gradients`` broadcast ``elements`` (any shape) against
+    barycentric points ``lam`` (..., 3): ``values(np.arange(nt), TRI_POINTS[:, None])``
+    is (7, nt), and ``gradients(trace.elements[:, None], trace.lam)`` is
+    (ne, ng, 2).
+    """
 
     def __init__(self, mesh: TaggedMesh, degree: int, coeffs: np.ndarray,
-                 dofmap: DofMap | None = None, diagnostics: dict | None = None):
+                 dofmap: DofMap | None = None):
         self.mesh = mesh
         self.degree = degree
         self.coeffs = np.asarray(coeffs, dtype=float)
         self.dofmap = dofmap if dofmap is not None else build_dofmap(mesh, degree)
-        self.diagnostics = diagnostics or {}
+        self.diagnostics = {}
         self._G, self._areas = bary_gradients(mesh)
+        self._vertex_gradients = None
         self._hessians = None
 
     @property
@@ -231,19 +235,26 @@ class FemField:
 
     def values(self, elements, lam) -> np.ndarray:
         """Field values on the given elements at barycentric points."""
-        elements = np.asarray(elements, dtype=np.int64)
-        Nsh = shape_values(self.degree, lam)
-        c = self.coeffs[self.dofmap.elem_dofs[elements]]
-        return np.einsum("...i,...i->...", np.broadcast_to(Nsh, c.shape), c)
+        c = self.coeffs[self.dofmap.elem_dofs[np.asarray(elements, dtype=np.int64)]]
+        return np.einsum("...i,...i->...", shape_values(self.degree, lam), c)
+
+    def vertex_gradients(self) -> np.ndarray:
+        """Gradient of each element polynomial at its vertices, (nt, 3, 2).
+
+        The gradient of a P1/P2 element is affine, so these three values
+        give it everywhere on the element (see ``gradients``).
+        """
+        if self._vertex_gradients is None:
+            dN = shape_bary_grads(self.degree, np.eye(3))           # (3, nloc, 3)
+            c = self.coeffs[self.dofmap.elem_dofs]
+            du = np.einsum("vla,el->eva", dN, c)                    # d u / d lambda_a
+            self._vertex_gradients = np.einsum("eva,eax->evx", du, self._G)
+        return self._vertex_gradients
 
     def gradients(self, elements, lam) -> np.ndarray:
         """Gradients on the given elements at barycentric points, (..., 2)."""
-        elements = np.asarray(elements, dtype=np.int64)
-        dN = shape_bary_grads(self.degree, lam)              # (..., nloc, 3)
-        G = self._G[elements]                                # (..., 3, 2)
-        gradN = np.einsum("...la,...ax->...lx", dN, G)
-        c = self.coeffs[self.dofmap.elem_dofs[elements]]
-        return np.einsum("...l,...lx->...x", c, gradN)
+        vg = self.vertex_gradients()[np.asarray(elements, dtype=np.int64)]
+        return np.einsum("...v,...vx->...x", np.asarray(lam, dtype=float), vg)
 
     def element_hessians(self) -> np.ndarray:
         """Constant Hessian per element, shape (nt, 2, 2); degree 2 only."""
@@ -266,7 +277,7 @@ class FemField:
         points = np.atleast_2d(np.asarray(points, dtype=float))
         V, T = self.mesh.vertices, self.mesh.triangles
         p0 = V[T[:, 0]]
-        inv = _inverse_jacobians(V, T)
+        inv = self._G[:, 1:]
         elems = np.empty(len(points), dtype=np.int64)
         lams = np.empty((len(points), 3))
         for i, p in enumerate(points):
@@ -284,33 +295,8 @@ class FemField:
 
     def energy(self) -> float:
         """Dirichlet energy int |grad u|^2."""
-        total = 0.0
-        for lam, w in zip(TRI_POINTS, TRI_WEIGHTS):
-            g = self.gradients(np.arange(self.mesh.n_triangles), lam)
-            total += w * float(np.sum(self._areas * np.einsum("ex,ex->e", g, g)))
-        return total
-
-
-def _inverse_jacobians(V, T):
-    p0, p1, p2 = V[T[:, 0]], V[T[:, 1]], V[T[:, 2]]
-    d1, d2 = p1 - p0, p2 - p0
-    det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-    inv = np.empty((len(T), 2, 2))
-    inv[:, 0, 0] = d2[:, 1] / det
-    inv[:, 0, 1] = -d2[:, 0] / det
-    inv[:, 1, 0] = -d1[:, 1] / det
-    inv[:, 1, 1] = d1[:, 0] / det
-    return inv
-
-
-def gradient_at(field: FemField, element: int, lam) -> np.ndarray:
-    """Exact gradient of the element polynomial at a barycentric point."""
-    return field.gradients(np.asarray([element]), np.asarray(lam))[0]
-
-
-def hessian_on(field: FemField, element: int) -> np.ndarray:
-    """The constant 2x2 Hessian of the quadratic on one element."""
-    return field.element_hessians()[element]
+        g = self.gradients(np.arange(self.mesh.n_triangles), TRI_POINTS[:, None])
+        return float(np.sum(self._areas * (TRI_WEIGHTS @ np.einsum("qex,qex->qe", g, g))))
 
 
 # ---------------------------------------------------------------------------
@@ -322,10 +308,10 @@ def _boundary_edge_elements(mesh: TaggedMesh) -> np.ndarray:
     owner = mesh._cache.get("boundary_owner")
     if owner is None:
         T, nv = mesh.triangles, mesh.n_vertices
-        keys = _edge_key(np.concatenate([T[:, [0, 1]], T[:, [1, 2]], T[:, [2, 0]]]), nv)
+        keys = edge_key(triangle_edges(T), nv)
         order = np.argsort(keys)
         # a boundary edge belongs to exactly one triangle, so its key is unique
-        pos = np.searchsorted(keys[order], _edge_key(mesh.boundary_edges, nv))
+        pos = np.searchsorted(keys[order], edge_key(mesh.boundary_edges, nv))
         owner = order[pos] % len(T)
         owner.flags.writeable = False
         mesh._cache["boundary_owner"] = owner
@@ -419,32 +405,19 @@ def galerkin_residual(system: LinearSystem, field: FemField) -> float:
 
 def l2_error(field: FemField, exact) -> float:
     """L2 distance to a callable exact(x, y) -> value."""
-    mesh = field.mesh
-    V, T = mesh.vertices, mesh.triangles
-    p0, p1, p2 = V[T[:, 0]], V[T[:, 1]], V[T[:, 2]]
-    total = 0.0
-    elems = np.arange(mesh.n_triangles)
-    for lam, w in zip(TRI_POINTS, TRI_WEIGHTS):
-        xy = lam[0] * p0 + lam[1] * p1 + lam[2] * p2
-        diff = field.values(elems, lam) - exact(xy[:, 0], xy[:, 1])
-        total += w * float(np.sum(field._areas * diff**2))
-    return float(np.sqrt(total))
+    xy = field.mesh.quadrature_points()
+    vals = field.values(np.arange(field.mesh.n_triangles), TRI_POINTS[:, None])
+    diff = vals - exact(xy[..., 0], xy[..., 1])
+    return float(np.sqrt(np.sum(field._areas * (TRI_WEIGHTS @ diff**2))))
 
 
 def h1_seminorm_error(field: FemField, exact_grad) -> float:
     """H1 seminorm distance to a callable exact_grad(x, y) -> (gx, gy)."""
-    mesh = field.mesh
-    V, T = mesh.vertices, mesh.triangles
-    p0, p1, p2 = V[T[:, 0]], V[T[:, 1]], V[T[:, 2]]
-    total = 0.0
-    elems = np.arange(mesh.n_triangles)
-    for lam, w in zip(TRI_POINTS, TRI_WEIGHTS):
-        xy = lam[0] * p0 + lam[1] * p1 + lam[2] * p2
-        gx, gy = exact_grad(xy[:, 0], xy[:, 1])
-        g = field.gradients(elems, lam)
-        diff2 = (g[:, 0] - gx) ** 2 + (g[:, 1] - gy) ** 2
-        total += w * float(np.sum(field._areas * diff2))
-    return float(np.sqrt(total))
+    xy = field.mesh.quadrature_points()
+    g = field.gradients(np.arange(field.mesh.n_triangles), TRI_POINTS[:, None])
+    gx, gy = exact_grad(xy[..., 0], xy[..., 1])
+    diff2 = (g[..., 0] - gx) ** 2 + (g[..., 1] - gy) ** 2
+    return float(np.sqrt(np.sum(field._areas * (TRI_WEIGHTS @ diff2))))
 
 
 def interpolate(mesh: TaggedMesh, degree: int, fn) -> FemField:

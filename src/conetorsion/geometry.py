@@ -607,24 +607,21 @@ def interior_sphere_radius(spec: DomainSpec, samples: int = 256) -> InteriorSphe
     rho_hi = float(np.max(r))
     geom_tol = 2.0 * rho_hi * (spec.beta / part.gamma0.n_segments) ** 2 + 1e-12
 
-    def admissible(rho: float) -> np.ndarray:
-        centers = pts - rho * nrm
+    def admissible(rho: np.ndarray) -> np.ndarray:
+        """Per sample: the ball of radius rho[i] tangent at pts[i] is legal."""
+        centers = pts - rho[:, None] * nrm
         inside = _inside_closure(spec, centers, geom_tol)
         dist = polyline_distance(centers, a0, b0)
         return inside & (dist >= rho - geom_tol)
 
     lo = np.full(len(pts), 0.0)
     hi = np.full(len(pts), rho_hi)
-    ok0 = admissible(1e-3 * rho_hi)
-    if not np.all(ok0):
+    if not np.all(admissible(np.full(len(pts), 1e-3 * rho_hi))):
         return InteriorSphere(0.0, False)
     # per-sample bisection (vectorized over samples)
     for _ in range(40):
         mid = 0.5 * (lo + hi)
-        centers = pts - mid[:, None] * nrm
-        inside = _inside_closure(spec, centers, geom_tol)
-        dist = polyline_distance(centers, a0, b0)
-        good = inside & (dist >= mid - geom_tol)
+        good = admissible(mid)
         lo = np.where(good, mid, lo)
         hi = np.where(good, hi, mid)
     return InteriorSphere(float(np.min(lo)), True)

@@ -93,8 +93,12 @@ class TaggedMesh:
     def gamma0_edges(self) -> np.ndarray:
         return self.boundary_edges[self.boundary_tags == GAMMA0]
 
-    def gamma1_edges(self) -> np.ndarray:
-        return self.boundary_edges[self.boundary_tags == GAMMA1]
+    def quadrature_points(self) -> np.ndarray:
+        """(7, nt, 2) physical points of TRI_POINTS in every triangle."""
+        V, T = self.vertices, self.triangles
+        lam = TRI_POINTS[:, None, None, :]
+        return (lam[..., 0] * V[T[:, 0]] + lam[..., 1] * V[T[:, 1]]
+                + lam[..., 2] * V[T[:, 2]])
 
     def quadrature_distances(self, seg_a, seg_b) -> np.ndarray:
         """(7, nt) distances from the TRI_POINTS quadrature points to the segments.
@@ -107,10 +111,7 @@ class TaggedMesh:
         key = ("distance", seg_a.tobytes(), seg_b.tobytes())
         dist = self._cache.get(key)
         if dist is None:
-            V, T = self.vertices, self.triangles
-            p0, p1, p2 = V[T[:, 0]], V[T[:, 1]], V[T[:, 2]]
-            xy = np.concatenate([lam[0] * p0 + lam[1] * p1 + lam[2] * p2
-                                 for lam in TRI_POINTS])
+            xy = self.quadrature_points().reshape(-1, 2)
             dist = polyline_distance(xy, seg_a, seg_b).reshape(len(TRI_POINTS), -1)
             dist.flags.writeable = False
             self._cache[key] = dist
@@ -173,18 +174,27 @@ def _ring_mesh(spec: DomainSpec, n: int):
     return V, T
 
 
+def triangle_edges(triangles: np.ndarray) -> np.ndarray:
+    """(3 nt, 2) edges of every triangle: all (0, 1), then all (1, 2), then all (2, 0)."""
+    t = triangles
+    return np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
+
+
+def edge_key(edges: np.ndarray, n_vertices: int) -> np.ndarray:
+    """int64 key a * nv + b of each undirected edge (a < b); sorts like (a, b)."""
+    e = np.sort(np.asarray(edges, dtype=np.int64), axis=1)
+    return e[:, 0] * n_vertices + e[:, 1]
+
+
 def boundary_edges_of(triangles: np.ndarray) -> np.ndarray:
     """Directed edges owned by exactly one triangle, in triangle orientation."""
-    t = triangles
-    edges = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
-    keys = np.sort(edges, axis=1)
-    order = np.lexsort((keys[:, 1], keys[:, 0]))
-    sk = keys[order]
-    same_next = np.zeros(len(sk), dtype=bool)
-    same_next[:-1] = np.all(sk[:-1] == sk[1:], axis=1)
-    same_prev = np.zeros(len(sk), dtype=bool)
-    same_prev[1:] = same_next[:-1]
-    single = ~(same_next | same_prev)
+    edges = triangle_edges(triangles)
+    keys = edge_key(edges, int(triangles.max()) + 1)
+    order = np.argsort(keys)
+    repeated = np.diff(keys[order]) == 0
+    single = np.ones(len(keys), dtype=bool)
+    single[1:] &= ~repeated
+    single[:-1] &= ~repeated
     return edges[order[single]]
 
 
@@ -192,25 +202,15 @@ def _tag_edges(spec: DomainSpec, vertices: np.ndarray, edges: np.ndarray) -> np.
     """GAMMA1 iff both endpoints sit on the same cone leg (origin on both)."""
     if spec.cone.is_full_plane:
         return np.full(len(edges), GAMMA0, dtype=np.int64)
-    beta = spec.beta
-    pts = vertices
-    scale = float(np.max(np.linalg.norm(pts, axis=1)))
-    tol = 1e-9 * scale
-
-    def on_leg0(p):
-        return abs(p[1]) <= tol and p[0] >= -tol
-
-    leg1_dir = np.array([math.cos(beta), math.sin(beta)])
-
-    def on_leg1(p):
-        return abs(p[0] * leg1_dir[1] - p[1] * leg1_dir[0]) <= tol and p @ leg1_dir >= -tol
-
-    tags = np.full(len(edges), GAMMA0, dtype=np.int64)
-    for i, (a, b) in enumerate(edges):
-        pa, pb = pts[a], pts[b]
-        if (on_leg0(pa) and on_leg0(pb)) or (on_leg1(pa) and on_leg1(pb)):
-            tags[i] = GAMMA1
-    return tags
+    x, y = vertices[:, 0], vertices[:, 1]
+    tol = 1e-9 * float(np.max(np.linalg.norm(vertices, axis=1)))
+    leg1_dir = np.array([math.cos(spec.beta), math.sin(spec.beta)])
+    on_leg0 = (np.abs(y) <= tol) & (x >= -tol)
+    on_leg1 = ((np.abs(x * leg1_dir[1] - y * leg1_dir[0]) <= tol)
+               & (vertices @ leg1_dir >= -tol))
+    a, b = edges[:, 0], edges[:, 1]
+    on_leg = (on_leg0[a] & on_leg0[b]) | (on_leg1[a] & on_leg1[b])
+    return np.where(on_leg, GAMMA1, GAMMA0).astype(np.int64)
 
 
 def triangulate(spec: DomainSpec, h_target: float) -> TaggedMesh:
@@ -242,16 +242,10 @@ def _finalize(spec: DomainSpec | None, V: np.ndarray, T: np.ndarray) -> TaggedMe
         tags = _tag_edges(spec, V, edges)
     else:
         tags = np.full(len(edges), GAMMA0, dtype=np.int64)
-    areas_ok = np.all(_areas(V, T) > 0)
-    if not areas_ok:
+    mesh = TaggedMesh(V, T, edges, tags, spec)
+    if not np.all(mesh.areas > 0):
         raise MeshError("degenerate (inverted) triangles produced")
-    return TaggedMesh(V, T, edges, tags, spec)
-
-
-def _areas(V, T):
-    e1 = V[T[:, 1]] - V[T[:, 0]]
-    e2 = V[T[:, 2]] - V[T[:, 0]]
-    return 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+    return mesh
 
 
 def refine(mesh: TaggedMesh) -> TaggedMesh:
@@ -263,14 +257,11 @@ def refine(mesh: TaggedMesh) -> TaggedMesh:
         return mesh._cache["refine"]
     V, T = mesh.vertices, mesh.triangles
     nv = len(V)
-    pairs = np.concatenate([T[:, [0, 1]], T[:, [1, 2]], T[:, [2, 0]]])
-    keys = np.sort(pairs, axis=1)
-    uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
-    mid = 0.5 * (V[uniq[:, 0]] + V[uniq[:, 1]])
+    keys, inverse = np.unique(edge_key(triangle_edges(T), nv), return_inverse=True)
+    mid = 0.5 * (V[keys // nv] + V[keys % nv])
 
     if mesh.spec is not None and np.any(mesh.boundary_tags == GAMMA0):
-        g0 = set(map(tuple, np.sort(mesh.gamma0_edges(), axis=1).tolist()))
-        idx = [i for i, row in enumerate(map(tuple, uniq.tolist())) if row in g0]
+        idx = np.searchsorted(keys, edge_key(mesh.gamma0_edges(), nv))
         mid[idx] = mesh.spec.project_to_gamma0(mid[idx])
 
     newV = np.vstack([V, mid])
@@ -286,14 +277,11 @@ def refine(mesh: TaggedMesh) -> TaggedMesh:
     new_mesh = _finalize(mesh.spec, newV, newT)
     if mesh.spec is None:
         # inherit the parent's tags: the midpoint endpoint identifies the parent
-        parent_tag = {tuple(k): int(tag) for k, tag in
-                      zip(np.sort(mesh.boundary_edges, axis=1).tolist(),
-                          mesh.boundary_tags)}
-        tags = new_mesh.boundary_tags.copy()
-        for i, (a, b) in enumerate(new_mesh.boundary_edges):
-            mid_id = a if a >= nv else b
-            key = tuple(sorted(uniq[mid_id - nv].tolist()))
-            tags[i] = parent_tag[key]
+        parent_keys = edge_key(mesh.boundary_edges, nv)
+        order = np.argsort(parent_keys)
+        a, b = new_mesh.boundary_edges.T
+        child_keys = keys[np.where(a >= nv, a, b) - nv]
+        tags = mesh.boundary_tags[order[np.searchsorted(parent_keys[order], child_keys)]]
         new_mesh = replace(new_mesh, boundary_tags=tags)
     mesh._cache["refine"] = new_mesh
     return new_mesh

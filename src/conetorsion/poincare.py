@@ -228,18 +228,6 @@ def eta_estimate(mesh: TaggedMesh, partition: BoundaryPartition, span: SpanInfo,
                             _converged(history))
 
 
-def eta_ablation_eigenvalue(mesh: TaggedMesh, partition: BoundaryPartition,
-                            span: SpanInfo, alpha: float = 0.0) -> float:
-    """Smallest raw eigenvalue with the GAMMA1 constraint removed (~0)."""
-    seg_a0, seg_b0 = partition.gamma0.segments()
-    A, M = _p1_matrices(mesh, alpha, seg_a0, seg_b0)
-    A2 = sp.kron(A, sp.identity(2), format="csr")
-    M2 = sp.kron(M, sp.identity(2), format="csr")
-    Z = _constraint_basis(mesh, span, True, build_dofmap(mesh, 1))
-    vals = _smallest_eigs(Z.T @ A2 @ Z, Z.T @ M2 @ Z)
-    return float(vals[0])
-
-
 # ---------------------------------------------------------------------------
 # constants assembly
 # ---------------------------------------------------------------------------
@@ -301,11 +289,7 @@ def weighted_hessian_l2(field: FemField, alpha: float,
     H = field.element_hessians()
     frob2 = np.einsum("exy,exy->e", H, H)
     wts = _distance_weights(field.mesh, alpha, *partition.gamma0.segments())
-    areas = field._areas
-    total = 0.0
-    for w, wt in zip(TRI_WEIGHTS, wts):
-        total += w * float(np.sum(areas * wt * frob2))
-    return math.sqrt(total)
+    return math.sqrt(float(np.sum(field._areas * frob2 * (TRI_WEIGHTS @ wts))))
 
 
 def mixed_gradient_poincare_check(h: FemField, span: SpanInfo, mu, eta,

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fem import FemField, _boundary_edge_elements, interpolate
+from .fem import FemField, _boundary_edge_elements, bary_gradients, interpolate
 from .geometry import DomainSpec, SpanInfo, boundary_partition, segment_extremes
 from .mesher import GAMMA0, GAMMA1, TaggedMesh
 from .quadrature import TRI_POINTS, TRI_WEIGHTS, edge_gauss
@@ -51,9 +51,6 @@ class EdgeTrace:
     def total_length(self) -> float:
         return float(np.sum(self.lengths))
 
-    def integrate(self, values: np.ndarray) -> float:
-        return float(np.sum(self.weights * values))
-
 
 def edge_trace(mesh: TaggedMesh, tag: int, n_gauss: int = 3) -> EdgeTrace:
     rows = np.flatnonzero(mesh.boundary_tags == tag)
@@ -68,15 +65,10 @@ def edge_trace(mesh: TaggedMesh, tag: int, n_gauss: int = 3) -> EdgeTrace:
     points = a[:, None, :] + s[None, :, None] * d[:, None, :]
     weights = lengths[:, None] * w[None, :]
     # barycentric coordinates of the quadrature points in the owning element
-    T = mesh.triangles[elements]
-    V = mesh.vertices
-    p0 = V[T[:, 0]]
-    d1, d2 = V[T[:, 1]] - p0, V[T[:, 2]] - p0
-    det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-    rel = points - p0[:, None, :]
-    l1 = (rel[:, :, 0] * d2[:, 1][:, None] - rel[:, :, 1] * d2[:, 0][:, None]) / det[:, None]
-    l2 = (-rel[:, :, 0] * d1[:, 1][:, None] + rel[:, :, 1] * d1[:, 0][:, None]) / det[:, None]
-    lam = np.stack([1.0 - l1 - l2, l1, l2], axis=2)
+    p0 = mesh.vertices[mesh.triangles[elements, 0]]
+    lam12 = np.einsum("eax,egx->ega", bary_gradients(mesh)[0][elements, 1:],
+                      points - p0[:, None, :])
+    lam = np.concatenate([1.0 - lam12.sum(axis=2, keepdims=True), lam12], axis=2)
     return EdgeTrace(rows, elements, normals, lengths, points, lam, weights)
 
 
@@ -116,10 +108,8 @@ def normal_derivative(u: FemField, n_gauss: int = 2) -> BoundaryField:
     if u.degree < 2:
         raise ValueError("boundary flux wants a degree-2 field")
     tr = edge_trace(u.mesh, GAMMA0, n_gauss)
-    ne, ng = tr.weights.shape
-    elems = np.repeat(tr.elements, ng)
-    grads = u.gradients(elems, tr.lam.reshape(-1, 3)).reshape(ne, ng, 2)
-    unu = np.einsum("egx,ex->eg", grads, tr.normals)
+    ng = tr.weights.shape[1]
+    unu = np.einsum("egx,ex->eg", u.gradients(tr.elements[:, None], tr.lam), tr.normals)
     collar = np.repeat(collar_edge_mask(u.mesh, tr), ng)
     return BoundaryField(tr.points.reshape(-1, 2), unu.ravel(),
                          tr.weights.ravel(), np.repeat(tr.normals, ng, axis=0),
@@ -221,15 +211,6 @@ class IdentityParts:
         return iter((self.lhs, self.rhs, self.gamma1_term, self.residual))
 
 
-def _element_integral_of_field(u: FemField) -> np.ndarray:
-    """int_T u per element (exact for the element polynomial)."""
-    vals = np.zeros(u.mesh.n_triangles)
-    elems = np.arange(u.mesh.n_triangles)
-    for lam, w in zip(TRI_POINTS, TRI_WEIGHTS):
-        vals += w * u.values(elems, lam)
-    return vals * u._areas
-
-
 def identity_residual(u: FemField, center: Center | np.ndarray,
                       R: float | None = None) -> IdentityParts:
     """Both sides of the volume identity and their scaled gap.
@@ -245,7 +226,9 @@ def identity_residual(u: FemField, center: Center | np.ndarray,
     mesh = u.mesh
     check_center_constraint(mesh, z)
 
-    minus_int_u = -_element_integral_of_field(u)      # int_T (-u)
+    # int_T (-u), exact for the element polynomial
+    minus_int_u = -(TRI_WEIGHTS @ u.values(np.arange(mesh.n_triangles),
+                                           TRI_POINTS[:, None])) * u._areas
     H = u.element_hessians()
     frob = np.einsum("exy,exy->e", H, H)
     tr = H[:, 0, 0] + H[:, 1, 1]
@@ -255,22 +238,16 @@ def identity_residual(u: FemField, center: Center | np.ndarray,
     gamma1 = 0.0
     if np.any(mesh.boundary_tags == GAMMA1):
         tr1 = edge_trace(mesh, GAMMA1, 3)
-        ne, ng = tr1.weights.shape
-        elems = np.repeat(tr1.elements, ng)
-        lam = tr1.lam.reshape(-1, 3)
-        uvals = u.values(elems, lam).reshape(ne, ng)
-        grads = u.gradients(elems, lam).reshape(ne, ng, 2)
+        uvals = u.values(tr1.elements[:, None], tr1.lam)
+        grads = u.gradients(tr1.elements[:, None], tr1.lam)
         # <D^2u Du, nu> = (Du)^T (H nu) since H is symmetric
         Hn = np.einsum("exy,ey->ex", H[tr1.elements], tr1.normals)
         hdotnu = np.einsum("egx,ex->eg", grads, Hn)
         gamma1 = float(np.sum(tr1.weights * uvals * hdotnu))
 
     tr0 = edge_trace(mesh, GAMMA0, 3)
-    ne, ng = tr0.weights.shape
-    elems = np.repeat(tr0.elements, ng)
-    lam = tr0.lam.reshape(-1, 3)
-    grads = u.gradients(elems, lam).reshape(ne, ng, 2)
-    unu = np.einsum("egx,ex->eg", grads, tr0.normals)
+    unu = np.einsum("egx,ex->eg", u.gradients(tr0.elements[:, None], tr0.lam),
+                    tr0.normals)
     if R is None:
         R = 2.0 * float(np.sum(u._areas)) / tr0.total_length
     xnu = np.einsum("egx,ex->eg", tr0.points - z[None, None, :], tr0.normals)
@@ -347,8 +324,7 @@ class DeficitReport:
 
 
 def deficits(u: FemField, center: Center | np.ndarray, *,
-             lambda_21: float | None = None, domain_id: str = "",
-             span_k: int | None = None) -> DeficitReport:
+             lambda_21: float | None = None, domain_id: str = "") -> DeficitReport:
     """Fill every deficit functional of one solve by GAMMA0 quadrature.
 
     ``lambda_21`` is the Poincare combination Lambda_{2,1}(k); when given and
@@ -356,14 +332,11 @@ def deficits(u: FemField, center: Center | np.ndarray, *,
     (2 N Lambda^2 + 3) / (2 m) and its row check are recorded.
     """
     z = center.z if isinstance(center, Center) else np.asarray(center, dtype=float)
-    k = center.k if isinstance(center, Center) else (span_k or 0)
+    k = center.k if isinstance(center, Center) else 0
     mesh = u.mesh
     tr0 = edge_trace(mesh, GAMMA0, 3)
-    ne, ng = tr0.weights.shape
-    elems = np.repeat(tr0.elements, ng)
-    lam = tr0.lam.reshape(-1, 3)
-    grads = u.gradients(elems, lam).reshape(ne, ng, 2)
-    unu = np.einsum("egx,ex->eg", grads, tr0.normals)
+    unu = np.einsum("egx,ex->eg", u.gradients(tr0.elements[:, None], tr0.lam),
+                    tr0.normals)
     w = tr0.weights
 
     area = float(np.sum(u._areas))
@@ -419,31 +392,23 @@ def deficits(u: FemField, center: Center | np.ndarray, *,
 def gamma0_grad_norm(field: FemField) -> float:
     """L2(GAMMA0) norm of the gradient trace."""
     tr0 = edge_trace(field.mesh, GAMMA0, 3)
-    ne, ng = tr0.weights.shape
-    elems = np.repeat(tr0.elements, ng)
-    grads = field.gradients(elems, tr0.lam.reshape(-1, 3)).reshape(ne, ng, 2)
+    grads = field.gradients(tr0.elements[:, None], tr0.lam)
     return float(np.sqrt(np.sum(tr0.weights * np.einsum("egx,egx->eg", grads, grads))))
 
 
 def max_gradient(u: FemField) -> float:
-    """max |grad u| over element quadrature points and vertices."""
-    best = 0.0
-    elems = np.arange(u.mesh.n_triangles)
-    pts = list(TRI_POINTS) + [np.array([1.0, 0, 0]), np.array([0, 1.0, 0]),
-                              np.array([0, 0, 1.0])]
-    for lam in pts:
-        g = u.gradients(elems, lam)
-        best = max(best, float(np.sqrt(np.einsum("ex,ex->e", g, g).max())))
-    return best
+    """max |grad u| over the mesh.
+
+    grad u is affine on each element, so the convex |grad u| peaks at a vertex.
+    """
+    g = u.vertex_gradients()
+    return float(np.sqrt(np.einsum("evx,evx->ev", g, g).max()))
 
 
 def max_depth(u: FemField) -> float:
     """max (-u) over nodes and quadrature points."""
-    best = float(np.max(-u.coeffs))
-    elems = np.arange(u.mesh.n_triangles)
-    for lam in TRI_POINTS:
-        best = max(best, float(np.max(-u.values(elems, lam))))
-    return best
+    quad = u.values(np.arange(u.mesh.n_triangles), TRI_POINTS[:, None])
+    return max(float(np.max(-u.coeffs)), float(np.max(-quad)))
 
 
 @dataclass(frozen=True)
@@ -472,11 +437,7 @@ def u_distance_bounds(u: FemField, spec: DomainSpec, r_i: float,
     mesh = u.mesh
     dist_b = mesh.quadrature_distances(a_all, b_all)
     dist_g = mesh.quadrature_distances(*part.gamma0.segments())
-    elems = np.arange(mesh.n_triangles)
-    m_b = m_g = m_lin = np.inf
-    for lam, d_b, d_g in zip(TRI_POINTS, dist_b, dist_g):
-        mu = -u.values(elems, lam)
-        m_b = min(m_b, float(np.min(mu - 0.5 * d_b**2)))
-        m_g = min(m_g, float(np.min(mu - 0.5 * d_g**2)))
-        m_lin = min(m_lin, float(np.min(mu - 0.5 * r_i * d_g)))
-    return DistanceBoundReport(m_b, m_g, m_lin, tolerance)
+    depth = -u.values(np.arange(mesh.n_triangles), TRI_POINTS[:, None])
+    return DistanceBoundReport(float(np.min(depth - 0.5 * dist_b**2)),
+                               float(np.min(depth - 0.5 * dist_g**2)),
+                               float(np.min(depth - 0.5 * r_i * dist_g)), tolerance)

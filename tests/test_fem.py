@@ -3,9 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conetorsion import (GAMMA0, GAMMA1, FemError, assemble, gradient_at,
-                         hessian_on, interpolate, l2_error, rectangle_mesh,
-                         refine, solve, triangulate)
+from conetorsion import (GAMMA0, GAMMA1, FemError, assemble, interpolate,
+                         l2_error, rectangle_mesh, refine, solve, triangulate)
 from conetorsion.fem import galerkin_residual
 
 EXACT = lambda x, y: (x**2 + y**2 - 1) / 2
@@ -162,7 +161,7 @@ def test_gradient_of_exact_interpolant(quarter_solve):
     for elem in range(0, mesh.n_triangles, max(1, mesh.n_triangles // 17)):
         for local, lam in enumerate(np.eye(3)):
             vid = mesh.triangles[elem, local]
-            g = gradient_at(u, elem, lam)
+            g = u.gradients([elem], lam)[0]
             np.testing.assert_allclose(g, mesh.vertices[vid], atol=1e-12)
 
 
@@ -170,8 +169,8 @@ def test_p1_gradient_constant_per_element(quarter_solve):
     mesh = quarter_solve.mesh
     u = interpolate(mesh, 1, lambda x, y: 0.3 * x - 0.7 * y)
     for elem in (0, mesh.n_triangles // 2):
-        g1 = gradient_at(u, elem, [1 / 3, 1 / 3, 1 / 3])
-        g2 = gradient_at(u, elem, [0.7, 0.2, 0.1])
+        g1 = u.gradients([elem], [1 / 3, 1 / 3, 1 / 3])[0]
+        g2 = u.gradients([elem], [0.7, 0.2, 0.1])[0]
         np.testing.assert_allclose(g1, g2, atol=1e-14)
         np.testing.assert_allclose(g1, [0.3, -0.7], atol=1e-12)
 
@@ -200,15 +199,15 @@ def test_hessian_of_quadratics(quarter_solve):
     u1 = interpolate(mesh, 2, lambda x, y: (x**2 + y**2) / 2)
     u2 = interpolate(mesh, 2, lambda x, y: x * y)
     for elem in (0, mesh.n_triangles // 3, mesh.n_triangles - 1):
-        np.testing.assert_allclose(hessian_on(u1, elem), np.eye(2), atol=1e-10)
-        np.testing.assert_allclose(hessian_on(u2, elem), [[0, 1], [1, 0]],
+        np.testing.assert_allclose(u1.element_hessians()[elem], np.eye(2), atol=1e-10)
+        np.testing.assert_allclose(u2.element_hessians()[elem], [[0, 1], [1, 0]],
                                    atol=1e-10)
 
 
 def test_hessian_requires_degree_two(quarter_solve):
     u = interpolate(quarter_solve.mesh, 1, lambda x, y: x)
     with pytest.raises(FemError):
-        hessian_on(u, 0)
+        u.element_hessians()
 
 
 def test_hessian_trace_consistent_with_equation(quarter_solve):
