@@ -314,7 +314,9 @@ def main(argv=None) -> int:
     try:
         import threadpoolctl
         limits = threadpoolctl.threadpool_limits(limits=1)
-    except ImportError:             # pragma: no cover
+    except ImportError:
+        print("warning: threadpoolctl is not installed; the BLAS thread limit "
+              "was not applied", file=sys.stderr)
         limits = None
     try:
         cfg = load_config(args.config)

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .mesher import GAMMA0, TaggedMesh, edge_key, triangle_edges
 from .quadrature import TRI_POINTS, TRI_WEIGHTS
@@ -318,22 +319,40 @@ def _boundary_edge_elements(mesh: TaggedMesh) -> np.ndarray:
     return owner
 
 
-def factor_spd(A) -> spla.SuperLU:
+class SpdFactor:
+    """LU of P A P^T for a symmetric pre-order P; ``solve`` answers A x = b."""
+
+    def __init__(self, lu: spla.SuperLU, perm: np.ndarray):
+        self._lu = lu
+        self._perm = perm
+        self._inverse = np.argsort(perm)
+        self.nnz = lu.nnz             # entries of L + U
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        return self._lu.solve(b[self._perm])[self._inverse]
+
+
+def factor_spd(A) -> SpdFactor:
     """Sparse LU of a symmetric positive definite matrix.
 
-    Symmetric minimum-degree ordering on A^T + A with diagonal pivots keeps
-    the fill of a Cholesky factor; the same factor serves the solves and the
-    shift-invert eigensolves.  A non-positive diagonal entry (never SPD) or
-    an exactly singular factor raises FemError.
+    A reverse Cuthill-McKee pre-order gives the symmetric minimum-degree
+    ordering on A^T + A a better start (it breaks ties by column index);
+    with diagonal pivots the fill stays that of a Cholesky factor.  The same
+    factor serves the solves and the shift-invert eigensolves.  A
+    non-positive diagonal entry (never SPD) or an exactly singular factor
+    raises FemError.
     """
     A = sp.csc_matrix(A)
     if not np.all(A.diagonal() > 0):
         raise FemError("matrix is not positive definite: non-positive diagonal")
+    perm = reverse_cuthill_mckee(A, symmetric_mode=True)
+    A = A[perm][:, perm]              # the only copy held while splu runs
     try:
-        return spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                         options={"SymmetricMode": True})
+        lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise FemError(f"sparse factorization failed: {exc}") from exc
+    return SpdFactor(lu, perm)
 
 
 def solve(system: LinearSystem, curved_correction: bool = True) -> FemField:
@@ -384,8 +403,8 @@ def solve(system: LinearSystem, curved_correction: bool = True) -> FemField:
     rel = float(np.linalg.norm(resid)) / scale
     if rel > 1e-10:
         raise FemError(f"solver did not converge: relative residual {rel:g}")
-    field.diagnostics.update({"relative_residual": rel,
-                              "n_dofs": n, "n_fixed": len(fixed)})
+    field.diagnostics.update({"relative_residual": rel, "n_dofs": n,
+                              "n_fixed": len(fixed), "lu_nnz": lu.nnz})
     return field
 
 

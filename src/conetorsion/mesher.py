@@ -129,44 +129,38 @@ def _ring_mesh(spec: DomainSpec, n: int):
     beta = spec.beta
     full = spec.cone.is_full_plane
     q = max(1, int(round(beta / (math.pi / 3))))
-    verts = [(0.0, 0.0)]
-    rings = [[0]]
+    xy = [np.zeros((1, 2))]
+    starts = [0]                          # first vertex of each ring (0: the apex)
     for j in range(1, n + 1):
         m = j * q
         npts = m if full else m + 1
         ts = np.arange(npts) * (beta / m)
         rho = j / n
         r = rho * np.asarray(spec.radius_fn(ts), dtype=float)
-        start = len(verts)
-        verts.extend(zip(r * np.cos(ts), r * np.sin(ts)))
-        rings.append(list(range(start, start + npts)))
-    tris = []
-    ring1 = rings[1]
-    for i in range(q):
-        b = ring1[(i + 1) % len(ring1)] if full else ring1[i + 1]
-        tris.append((0, ring1[i], b))
+        starts.append(starts[-1] + len(xy[-1]))
+        xy.append(np.column_stack([r * np.cos(ts), r * np.sin(ts)]))
+    V = np.concatenate(xy)
+
+    def at(j, i):                         # vertex i of ring j (wrapping when full)
+        return starts[j] + (i % (j * q) if full else i)
+
+    wedge = np.arange(q)
+    tris = [np.column_stack([np.zeros(q, dtype=np.int64), at(1, wedge),
+                             at(1, wedge + 1)])]
+    w = wedge[:, None]
     for j in range(1, n):
-        inner, outer = rings[j], rings[j + 1]
-
-        def at(ring, i):
-            return ring[i % len(ring)] if full else ring[i]
-
-        for w in range(q):
-            i0, o0 = w * j, w * (j + 1)
-            ic = oc = 0
-            while ic < j or oc < j + 1:
-                ti = (ic + 1) / j if j > 0 else 1.0
-                to = (oc + 1) / (j + 1)
-                if oc < j + 1 and (ic >= j or to <= ti):
-                    tris.append((at(inner, i0 + ic), at(outer, o0 + oc),
-                                 at(outer, o0 + oc + 1)))
-                    oc += 1
-                else:
-                    tris.append((at(inner, i0 + ic), at(outer, o0 + oc),
-                                 at(inner, i0 + ic + 1)))
-                    ic += 1
-    V = np.asarray(verts, dtype=float)
-    T = np.asarray(tris, dtype=np.int64)
+        # Each wedge of the strip between rings j and j+1 takes j inner and
+        # j+1 outer steps; outer step oc goes before inner step ic iff
+        # (oc+1)*j <= (ic+1)*(j+1), i.e. (oc+1)/(j+1) <= (ic+1)/j.
+        key = np.concatenate([np.arange(1, j + 2) * j, np.arange(1, j + 1) * (j + 1)])
+        outer = np.argsort(key, kind="stable") <= j
+        oc = np.cumsum(outer) - outer
+        ic = np.cumsum(~outer) - ~outer
+        inner_i, outer_i = w * j + ic, w * (j + 1) + oc
+        third = np.where(outer, at(j + 1, outer_i + 1), at(j, inner_i + 1))
+        tris.append(np.stack([at(j, inner_i), at(j + 1, outer_i), third],
+                             axis=-1).reshape(-1, 3))
+    T = np.concatenate(tris)
     e1 = V[T[:, 1]] - V[T[:, 0]]
     e2 = V[T[:, 2]] - V[T[:, 0]]
     flip = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0] < 0

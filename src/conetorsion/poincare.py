@@ -174,23 +174,24 @@ def _constraint_basis(mesh: TaggedMesh, span: SpanInfo, drop_constraint: bool,
         raise ValueError("eta needs a nonempty GAMMA1 (k >= 1); use mu_estimate")
     S = span.basis.T                      # (2, k) columns span the value space
     node_normals = {} if drop_constraint else _gamma1_node_normals(mesh, dofmap)
-    cols, rows, vals = [], [], []
-    ncol = 0
-    for v in range(n):
-        C = np.array([S.T @ nu for nu in node_normals.get(v, [])])
-        if len(C) == 0:
-            D = np.eye(span.k)
-        else:
-            _, s, vt = np.linalg.svd(C, full_matrices=True)
-            rank = int(np.sum(s > 1e-12))
-            D = vt[rank:].T               # (k, k-rank) null-space basis
-        B = S @ D                         # (2, nfree) directions at this node
-        for j in range(B.shape[1]):
-            rows.extend((2 * v, 2 * v + 1))
-            cols.extend((ncol, ncol))
-            vals.extend((B[0, j], B[1, j]))
-            ncol += 1
-    return sp.coo_matrix((vals, (rows, cols)), shape=(2 * n, ncol)).tocsr()
+    # the columns of a node are S @ D, D a null-space basis of its normal
+    # conditions; D = I at the nodes without one
+    blocks = {}
+    for v, normals in node_normals.items():
+        C = np.array([S.T @ nu for nu in normals])
+        _, s, vt = np.linalg.svd(C, full_matrices=True)
+        rank = int(np.sum(s > 1e-12))
+        blocks[v] = S @ vt[rank:].T      # (2, k-rank) directions at this node
+    width = np.full(n, span.k)
+    width[list(blocks)] = [Bv.shape[1] for Bv in blocks.values()]
+    start = np.cumsum(width) - width
+    node = np.repeat(np.arange(n), width)
+    B = (S @ np.eye(span.k))[:, np.arange(len(node)) - start[node]]
+    for v, Bv in blocks.items():
+        B[:, start[v]:start[v] + width[v]] = Bv
+    rows = np.column_stack([2 * node, 2 * node + 1]).ravel()
+    cols = np.repeat(np.arange(len(node)), 2)
+    return sp.coo_matrix((B.T.ravel(), (rows, cols)), shape=(2 * n, len(node))).tocsr()
 
 
 def eta_estimate(mesh: TaggedMesh, partition: BoundaryPartition, span: SpanInfo,

@@ -1,4 +1,5 @@
 import math
+import sys
 import textwrap
 
 import pytest
@@ -272,3 +273,15 @@ def test_sweep_byte_identical_across_threads(tmp_path):
 
 def test_missing_config_file():
     assert main(["solve", "--config", "/nonexistent.ini"]) == cli.EXIT_VALIDATION
+
+
+def test_missing_threadpoolctl_is_reported(tmp_path, monkeypatch, capsys):
+    monkeypatch.setitem(sys.modules, "threadpoolctl", None)   # import fails
+    code = main(["solve", "--config", write_config(tmp_path, QUARTER),
+                 "--out", str(tmp_path)])
+    assert code == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["warning: threadpoolctl is not installed; "
+                   "the BLAS thread limit was not applied"]
+    assert main(["solve", "--config", "/nonexistent.ini"]) == cli.EXIT_VALIDATION
+    assert "BLAS thread limit was not applied" in capsys.readouterr().err

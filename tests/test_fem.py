@@ -344,3 +344,25 @@ def test_solve_rejects_a_wrong_factor(quarter_spec, monkeypatch):
     monkeypatch.setattr(fem, "factor_spd", lambda A: real(2.0 * A))
     with pytest.raises(FemError, match="relative residual"):
         solve(system)
+
+
+def test_factor_spd_fill_not_above_plain_minimum_degree(disk_spec,
+                                                         pert_quarter_spec):
+    # the reverse Cuthill-McKee pre-order must not cost fill against minimum
+    # degree on the dof numbering (quarter4 refined once: 33,856 free dofs;
+    # the disk3 sweep member eps = 0.04 at h = 0.025)
+    import scipy.sparse.linalg as spla
+    from conetorsion import make_family
+    from conetorsion.fem import factor_spd
+    disk3 = make_family(disk_spec, 3, [0.04]).members[1][1]
+    for mesh in (refine(triangulate(pert_quarter_spec, 0.025)),
+                 triangulate(disk3, 0.025)):
+        A = _reduced(assemble(mesh, 2))[0].tocsc()
+        plain = spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                          options={"SymmetricMode": True})
+        assert factor_spd(A).nnz <= plain.nnz
+
+
+def test_solve_records_the_factor_fill(quarter_solve):
+    diag = quarter_solve.field.diagnostics
+    assert 0 < diag["n_dofs"] - diag["n_fixed"] < diag["lu_nnz"]

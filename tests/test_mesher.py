@@ -162,3 +162,65 @@ def test_rectangle_mesh_structure():
     assert np.sum(mesh.areas) == pytest.approx(2.0, rel=1e-12)
     square = rectangle_mesh(4, 4)
     assert square.min_angle >= 44.9
+
+
+def _ring_mesh_oracle(spec, n):
+    """The earlier triangle-by-triangle ring construction, kept as the oracle."""
+    beta = spec.beta
+    full = spec.cone.is_full_plane
+    q = max(1, int(round(beta / (math.pi / 3))))
+    verts = [(0.0, 0.0)]
+    rings = [[0]]
+    for j in range(1, n + 1):
+        m = j * q
+        npts = m if full else m + 1
+        ts = np.arange(npts) * (beta / m)
+        rho = j / n
+        r = rho * np.asarray(spec.radius_fn(ts), dtype=float)
+        start = len(verts)
+        verts.extend(zip(r * np.cos(ts), r * np.sin(ts)))
+        rings.append(list(range(start, start + npts)))
+    tris = []
+    ring1 = rings[1]
+    for i in range(q):
+        b = ring1[(i + 1) % len(ring1)] if full else ring1[i + 1]
+        tris.append((0, ring1[i], b))
+    for j in range(1, n):
+        inner, outer = rings[j], rings[j + 1]
+
+        def at(ring, i):
+            return ring[i % len(ring)] if full else ring[i]
+
+        for w in range(q):
+            i0, o0 = w * j, w * (j + 1)
+            ic = oc = 0
+            while ic < j or oc < j + 1:
+                ti = (ic + 1) / j if j > 0 else 1.0
+                to = (oc + 1) / (j + 1)
+                if oc < j + 1 and (ic >= j or to <= ti):
+                    tris.append((at(inner, i0 + ic), at(outer, o0 + oc),
+                                 at(outer, o0 + oc + 1)))
+                    oc += 1
+                else:
+                    tris.append((at(inner, i0 + ic), at(outer, o0 + oc),
+                                 at(inner, i0 + ic + 1)))
+                    ic += 1
+    V = np.asarray(verts, dtype=float)
+    T = np.asarray(tris, dtype=np.int64)
+    e1 = V[T[:, 1]] - V[T[:, 0]]
+    e2 = V[T[:, 2]] - V[T[:, 0]]
+    flip = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0] < 0
+    T[flip] = T[flip][:, [0, 2, 1]]
+    return V, T
+
+
+def test_ring_mesh_matches_the_loop_oracle(disk_spec, pert_quarter_spec):
+    from conetorsion import ConstantRadius, make_sector_domain
+    from conetorsion.mesher import _ring_mesh
+    thin = make_sector_domain(0.1, ConstantRadius(1.0), 64)
+    for spec in (disk_spec, pert_quarter_spec, thin):
+        for n in range(2, 61):
+            V, T = _ring_mesh(spec, n)
+            V0, T0 = _ring_mesh_oracle(spec, n)
+            assert V.dtype == V0.dtype and T.dtype == T0.dtype
+            assert np.array_equal(V, V0) and np.array_equal(T, T0)

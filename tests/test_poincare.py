@@ -184,6 +184,53 @@ def test_eta_ablation_admits_constants(quarter_spec):
     assert eta_estimate(mesh, part, span, 0.0, drop_constraint=True).value ** 2 <= 1e-8
 
 
+
+def _constraint_basis_oracle(mesh, span, drop_constraint, dofmap):
+    """The earlier node-by-node construction of Z, kept as the oracle."""
+    import scipy.sparse as sp
+    from conetorsion.poincare import _gamma1_node_normals
+    n = dofmap.n_dofs
+    S = span.basis.T
+    node_normals = {} if drop_constraint else _gamma1_node_normals(mesh, dofmap)
+    cols, rows, vals = [], [], []
+    ncol = 0
+    for v in range(n):
+        C = np.array([S.T @ nu for nu in node_normals.get(v, [])])
+        if len(C) == 0:
+            D = np.eye(span.k)
+        else:
+            _, s, vt = np.linalg.svd(C, full_matrices=True)
+            rank = int(np.sum(s > 1e-12))
+            D = vt[rank:].T
+        B = S @ D
+        for j in range(B.shape[1]):
+            rows.extend((2 * v, 2 * v + 1))
+            cols.extend((ncol, ncol))
+            vals.extend((B[0, j], B[1, j]))
+            ncol += 1
+    return sp.coo_matrix((vals, (rows, cols)), shape=(2 * n, ncol)).tocsr()
+
+
+def test_constraint_basis_matches_the_loop_oracle(quarter_spec, half_spec):
+    from conetorsion.fem import build_dofmap
+    from conetorsion.poincare import _constraint_basis
+    cases = [(quarter_spec, triangulate(quarter_spec, 0.08)),
+             (quarter_spec, refine(triangulate(quarter_spec, 0.15))),
+             (half_spec, triangulate(half_spec, 0.1))]
+    for spec, mesh in cases:
+        span = normal_span(boundary_partition(spec))
+        for degree in (1, 2):
+            dofmap = build_dofmap(mesh, degree)
+            for drop in (False, True):
+                Z = _constraint_basis(mesh, span, drop, dofmap)
+                Z0 = _constraint_basis_oracle(mesh, span, drop, dofmap)
+                assert Z.shape == Z0.shape
+                for name in ("indptr", "indices", "data"):
+                    a, b = getattr(Z, name), getattr(Z0, name)
+                    assert a.dtype == b.dtype
+                    assert a.tobytes() == b.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # constants assembly
 # ---------------------------------------------------------------------------
