@@ -3,10 +3,10 @@ planar convex cones: rigidity reproduction, the volume identity, weighted
 Poincare constants, and quantitative stability sweeps."""
 
 from .geometry import (BoundaryPartition, Cone2D, ConstantRadius, DomainError,
-                       DomainSpec, FourierRadius, GeometryReport, Polyline,
+                       DomainSpec, FourierRadius, Polyline,
                        RadiusFunction, ScaledRadius, SpanInfo, TableRadius,
                        boundary_partition, domain_area, domain_diameter,
-                       exterior_sphere_radius, gamma0_length, geometry_report,
+                       exterior_sphere_radius, gamma0_length,
                        interior_sphere_radius, make_sector_domain, normal_span,
                        offset_disk_radius, parse_radius_spec, polar_curvature,
                        rho_extremes, serrin_radius)

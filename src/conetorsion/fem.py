@@ -27,6 +27,10 @@ class FemError(RuntimeError):
     """Assembly or solver failure."""
 
 
+class DegreeError(FemError, ValueError):
+    """A quantity asked of a field whose degree cannot provide it."""
+
+
 # ---------------------------------------------------------------------------
 # reference shape functions
 # ---------------------------------------------------------------------------
@@ -260,7 +264,7 @@ class FemField:
     def element_hessians(self) -> np.ndarray:
         """Constant Hessian per element, shape (nt, 2, 2); degree 2 only."""
         if self.degree != 2:
-            raise FemError("element Hessians require a degree-2 field")
+            raise DegreeError("element Hessians require a degree-2 field")
         if self._hessians is None:
             G = self._G
             c = self.coeffs[self.dofmap.elem_dofs]

@@ -387,18 +387,6 @@ class SpanInfo:
     rotation: np.ndarray  # (2, 2) orthogonal, rows: basis then its complement
 
 
-@dataclass(frozen=True)
-class GeometryReport:
-    area: float
-    gamma0_length: float
-    diameter: float
-    rho_e: float
-    rho_i: float
-    r_i_estimate: float
-    theta: float
-    a_tilde: float
-
-
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
@@ -651,29 +639,3 @@ def domain_diameter(spec: DomainSpec) -> float:
     diff = pts[:, None, :] - pts[None, :, :]
     return float(np.sqrt((diff**2).sum(axis=2)).max())
 
-
-def geometry_report(spec: DomainSpec, z=(0.0, 0.0), theta=None, a_tilde=None) -> GeometryReport:
-    """All purely geometric quantities entering the theorem constants.
-
-    theta / a_tilde are taken from the caller when supplied; otherwise a crude
-    estimate is recorded (half the minimum corner angle, half the minimum
-    feature size).  They are bookkeeping only.
-    """
-    part = boundary_partition(spec)
-    area = domain_area(spec)
-    glen = gamma0_length(spec)
-    rho_e, rho_i = rho_extremes(part, z)
-    ri = interior_sphere_radius(spec)
-    if theta is None:
-        if spec.cone.is_full_plane:
-            corner = math.pi
-        else:
-            corner = min(spec.beta, math.pi / 2)
-        theta = min(corner / 2, math.pi / 2)
-    if a_tilde is None:
-        a_tilde = 0.5 * float(np.min(spec.radius_fn(spec.gamma0_angles())))
-    return GeometryReport(
-        area=area, gamma0_length=glen, diameter=domain_diameter(spec),
-        rho_e=rho_e, rho_i=rho_i, r_i_estimate=ri.value,
-        theta=float(theta), a_tilde=float(a_tilde),
-    )

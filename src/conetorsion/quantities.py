@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fem import FemField, _boundary_edge_elements, bary_gradients, interpolate
+from .fem import (DegreeError, FemField, _boundary_edge_elements, bary_gradients,
+                  interpolate)
 from .geometry import DomainSpec, SpanInfo, boundary_partition, segment_extremes
 from .mesher import GAMMA0, GAMMA1, TaggedMesh
 from .quadrature import TRI_POINTS, TRI_WEIGHTS, edge_gauss
@@ -84,14 +85,19 @@ def collar_edge_mask(mesh: TaggedMesh, trace: EdgeTrace) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BoundaryField:
-    """u_nu at GAMMA0 quadrature points with arc-length weights."""
+    """u_nu on the GAMMA0 trace, per (edge, Gauss point), with the collar."""
 
-    points: np.ndarray
-    values: np.ndarray
-    weights: np.ndarray
-    normals: np.ndarray   # per point
-    collar: np.ndarray    # per point: True on corner-adjacent edges
-    n_gauss: int
+    trace: EdgeTrace
+    values: np.ndarray    # (ne, ng)
+    collar: np.ndarray    # (ne,) True on corner-adjacent edges
+
+    @property
+    def weights(self) -> np.ndarray:
+        return self.trace.weights
+
+    @property
+    def n_gauss(self) -> int:
+        return self.values.shape[1]
 
     @property
     def total_weight(self) -> float:
@@ -106,14 +112,10 @@ class BoundaryField:
 def normal_derivative(u: FemField, n_gauss: int = 2) -> BoundaryField:
     """<grad u, nu> on GAMMA0 edges, gradient taken from the owning element."""
     if u.degree < 2:
-        raise ValueError("boundary flux wants a degree-2 field")
+        raise DegreeError("boundary flux wants a degree-2 field")
     tr = edge_trace(u.mesh, GAMMA0, n_gauss)
-    ng = tr.weights.shape[1]
     unu = np.einsum("egx,ex->eg", u.gradients(tr.elements[:, None], tr.lam), tr.normals)
-    collar = np.repeat(collar_edge_mask(u.mesh, tr), ng)
-    return BoundaryField(tr.points.reshape(-1, 2), unu.ravel(),
-                         tr.weights.ravel(), np.repeat(tr.normals, ng, axis=0),
-                         collar, n_gauss)
+    return BoundaryField(tr, unu, collar_edge_mask(u.mesh, tr))
 
 
 # ---------------------------------------------------------------------------
@@ -154,20 +156,11 @@ def alternative_center(u: FemField) -> Center:
     return Center(_free_center(u), 0, False)
 
 
-def center_constraint_violation(mesh: TaggedMesh, z) -> float:
-    """max |<z, nu>| over the GAMMA1 normals (0 when GAMMA1 is empty)."""
-    g1_rows = np.flatnonzero(mesh.boundary_tags == GAMMA1)
-    if len(g1_rows) == 0:
-        return 0.0
-    normals = mesh.boundary_normals()[g1_rows]
-    return float(np.max(np.abs(normals @ np.asarray(z, dtype=float))))
-
-
 def check_center_constraint(mesh: TaggedMesh, z: np.ndarray, tol: float = 1e-10) -> None:
     """The identity needs <z, nu> = 0 for every GAMMA1 normal."""
-    viol = center_constraint_violation(mesh, z)
-    scale = 1.0 + float(np.linalg.norm(z))
-    if viol > tol * scale:
+    normals = mesh.boundary_normals()[mesh.boundary_tags == GAMMA1]
+    viol = float(np.max(np.abs(normals @ z), initial=0.0))
+    if viol > tol * (1.0 + float(np.linalg.norm(z))):
         raise CenterError(
             f"center violates the cone-boundary constraint: |<z,nu>| = {viol:g}")
 
@@ -205,10 +198,6 @@ class IdentityParts:
     gamma1_term: float
     residual: float
     lhs_exact_trace: float   # variant with Delta u frozen to N
-    volume_term: float
-
-    def __iter__(self):
-        return iter((self.lhs, self.rhs, self.gamma1_term, self.residual))
 
 
 def identity_residual(u: FemField, center: Center | np.ndarray,
@@ -245,9 +234,8 @@ def identity_residual(u: FemField, center: Center | np.ndarray,
         hdotnu = np.einsum("egx,ex->eg", grads, Hn)
         gamma1 = float(np.sum(tr1.weights * uvals * hdotnu))
 
-    tr0 = edge_trace(mesh, GAMMA0, 3)
-    unu = np.einsum("egx,ex->eg", u.gradients(tr0.elements[:, None], tr0.lam),
-                    tr0.normals)
+    flux = normal_derivative(u, 3)
+    tr0, unu = flux.trace, flux.values
     if R is None:
         R = 2.0 * float(np.sum(u._areas)) / tr0.total_length
     xnu = np.einsum("egx,ex->eg", tr0.points - z[None, None, :], tr0.normals)
@@ -256,7 +244,7 @@ def identity_residual(u: FemField, center: Center | np.ndarray,
     lhs = volume + gamma1
     scale = max(abs(lhs), abs(rhs), R**2 * tr0.total_length * mesh.h_max**2)
     return IdentityParts(lhs, rhs, gamma1, abs(lhs - rhs) / scale,
-                         volume_exact + gamma1, volume)
+                         volume_exact + gamma1)
 
 
 # ---------------------------------------------------------------------------
@@ -334,18 +322,10 @@ def deficits(u: FemField, center: Center | np.ndarray, *,
     z = center.z if isinstance(center, Center) else np.asarray(center, dtype=float)
     k = center.k if isinstance(center, Center) else 0
     mesh = u.mesh
-    tr0 = edge_trace(mesh, GAMMA0, 3)
-    unu = np.einsum("egx,ex->eg", u.gradients(tr0.elements[:, None], tr0.lam),
-                    tr0.normals)
-    w = tr0.weights
-
-    area = float(np.sum(u._areas))
-    R = 2.0 * area / tr0.total_length
-
-    collar = collar_edge_mask(mesh, tr0)
-    interior_vals = unu[~collar] if np.any(~collar) else unu
-    m = float(np.min(interior_vals))
-    m_all = float(np.min(unu))
+    flux = normal_derivative(u, 3)
+    tr0, unu, w = flux.trace, flux.values, flux.weights
+    R = 2.0 * float(np.sum(u._areas)) / tr0.total_length
+    m = flux.min_value()
 
     deficit_1 = float(np.sqrt(np.sum(w * (unu - R) ** 2)))
     deficit_2 = float(np.sqrt(np.sum(w * (unu**2 - R**2) ** 2)))
@@ -358,12 +338,10 @@ def deficits(u: FemField, center: Center | np.ndarray, *,
     rho_gap = float(np.max(seg_max) - np.min(seg_min))
 
     # the identity is only meaningful for constraint-respecting centers
-    scale = 1.0 + float(np.linalg.norm(z))
-    if center_constraint_violation(mesh, z) <= 1e-10 * scale:
+    try:
         ident = identity_residual(u, z, R=R)
-    else:
-        nan = float("nan")
-        ident = IdentityParts(nan, nan, nan, nan, nan, nan)
+    except CenterError:
+        ident = IdentityParts(*[float("nan")] * 5)
 
     degenerate = m <= 0.0
     if lambda_21 is not None and not degenerate:
@@ -379,7 +357,8 @@ def deficits(u: FemField, center: Center | np.ndarray, *,
         identity_lhs=ident.lhs, identity_rhs=ident.rhs,
         gamma1_term=ident.gamma1_term, identity_residual=ident.residual,
         C_bound=c_bound, C_bound_satisfied=satisfied, k=k,
-        collar_excluded=int(np.sum(collar)), m_all_points=m_all,
+        collar_excluded=int(np.sum(flux.collar)),
+        m_all_points=flux.min_value(exclude_collar=False),
         degenerate=degenerate,
         extras={"identity_lhs_exact_trace": ident.lhs_exact_trace},
     )

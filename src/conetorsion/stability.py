@@ -3,7 +3,7 @@
 A family perturbs a base domain by r(t) -> r(t) (1 + eps cos(m t)).  Each
 member runs mesh -> solve -> functionals; one deficit row per member.  The
 Poincare combination Lambda is estimated once on the base member's mesh and
-reused across rows (per-member re-estimation available for the largest eps).
+reused across rows.
 Rows are independent solves and may run on a thread pool; every row is
 internally sequential and deterministic, so results do not depend on the
 worker count.
@@ -142,7 +142,6 @@ class SweepResult:
     degree: int
     alpha: float
     label: str
-    lam_largest: float | None = None
     failures: list = field(default_factory=list)
 
     def column(self, name: str, include_base: bool = True) -> np.ndarray:
@@ -151,14 +150,13 @@ class SweepResult:
 
 
 def run_sweep(family: Family, h_target: float, degree: int = 2, *,
-              threads: int = 1, alpha: float = 1.0, label: str = "family",
-              reestimate_largest: bool = False) -> SweepResult:
+              threads: int = 1, alpha: float = 1.0,
+              label: str = "family") -> SweepResult:
     """One deficit row per member at a common mesh policy.
 
-    Lambda comes from the base member's mesh and is shared across rows; with
-    ``reestimate_largest`` the largest-eps member additionally records its own
-    estimate for comparison.  A failing member aborts with partial results
-    attached to the raised SweepError.
+    Lambda comes from the base member's mesh and is shared across rows.  A
+    failing member aborts with partial results attached to the raised
+    SweepError.
     """
     base = family.members[0][1]
     part0 = boundary_partition(base)
@@ -191,17 +189,8 @@ def run_sweep(family: Family, h_target: float, degree: int = 2, *,
                     failures.append((member[0], repr(exc)))
     rows.sort(key=lambda r: r.eps)
 
-    lam_largest = None
-    if reestimate_largest and family.eps_list:
-        eps_max = family.eps_list[-1]
-        spec_max = dict((e, s) for e, s in family.members)[eps_max]
-        part_m = boundary_partition(spec_max)
-        span_m = normal_span(part_m)
-        mesh_m = triangulate(spec_max, h_target)
-        lam_largest, _, _ = estimate_lambda(mesh_m, part_m, span_m, alpha)
-
     result = SweepResult(rows, lam, mu, eta, span0.k, h_target, degree, alpha,
-                         label, lam_largest, failures)
+                         label, failures)
     if failures:
         err = SweepError(f"members failed: {failures}")
         err.partial = result
@@ -285,8 +274,8 @@ def verify_theorems(result: SweepResult) -> list:
 
     Covers: the Lipschitz pseudodistance bound, its alternative-center
     variant (mu-only constant), the improved linear rho_e - rho_i profile
-    (N = 2), and on full-plane rows the classical gradient and depth bounds.
-    The N >= 3 profiles are out of numerical scope and marked as such.
+    (N = 2) as a bounded rho_gap / deficit_1 ratio, and on full-plane rows
+    the classical gradient and depth bounds.
     """
     verdicts: list = []
     mu_only = 1.0 / result.mu.value
@@ -324,26 +313,16 @@ def verify_theorems(result: SweepResult) -> list:
                     float("nan"), None, "non-convex member: no exterior radius"))
 
     # improved rho_e - rho_i profile, N = 2: ratio sequence must stay bounded
-    pos = [r for r in result.rows if r.eps > 0]
-    ratios = [r.report.rho_gap / r.report.deficit_1 for r in pos
-              if r.report.deficit_1 > 0]
+    ratios = [r.report.rho_gap / r.report.deficit_1 for r in result.rows
+              if r.eps > 0 and r.report.deficit_1 > 0]
     if ratios:
         spread = max(ratios) / min(ratios)
-        c_fit = max(ratios)
-        for row, ratio in zip(pos, ratios):
-            verdicts.append(TheoremVerdict(
-                "rho_gap_linear_profile", row.eps, row.report.rho_gap,
-                c_fit * row.report.deficit_1, c_fit - ratio, True,
-                f"ratio={ratio:.4g}"))
         growth_ok = all(ratios[i] <= 1.5 * ratios[i + 1]
                         for i in range(len(ratios) - 1))
         verdicts.append(TheoremVerdict(
             "rho_gap_ratio_bounded", 0.0, spread, 1.5, 1.5 - spread,
             bool(spread <= 1.5 and growth_ok),
             f"max/min={spread:.3f}"))
-    verdicts.append(TheoremVerdict(
-        "rho_gap_profile_N_ge_3", 0.0, float("nan"), float("nan"),
-        float("nan"), None, "out of numerical scope (planar core)"))
     return verdicts
 
 

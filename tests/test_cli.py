@@ -133,6 +133,14 @@ def test_mesh_target_too_large_is_numerical_error(tmp_path, capsys):
     assert code == cli.EXIT_NUMERICAL
 
 
+def test_degree_one_solve_is_numerical_error(tmp_path, capsys):
+    body = QUARTER.replace("degree = 2", "degree = 1")
+    code = main(["solve", "--config", write_config(tmp_path, body),
+                 "--out", str(tmp_path)])
+    assert code == cli.EXIT_NUMERICAL
+    assert "degree-2 field" in capsys.readouterr().err
+
+
 def test_exports_mesh_and_solution(tmp_path):
     body = QUARTER + "    export_mesh = yes\n    export_solution = yes\n"
     code = main(["solve", "--config", write_config(tmp_path, body),

@@ -1,21 +1,26 @@
 """The broadcast field evaluator, mesh edge keys and tagging against the
-earlier per-point loops, kept here verbatim as oracles."""
+earlier per-point loops, and the GAMMA0 flux against the earlier flux paths
+of ``normal_derivative``, ``deficits`` and ``identity_residual``, kept here
+verbatim as oracles."""
 
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 
-from conetorsion import (GAMMA0, GAMMA1, interpolate, l2_error,
-                         h1_seminorm_error, max_depth, max_gradient,
-                         rectangle_mesh, refine, triangulate, u_distance_bounds)
+from conetorsion import (GAMMA0, GAMMA1, alternative_center, assemble,
+                         compute_center, deficits, identity_residual,
+                         interpolate, l2_error, h1_seminorm_error, max_depth,
+                         max_gradient, normal_derivative, normal_span,
+                         rectangle_mesh, refine, solve, triangulate,
+                         u_distance_bounds)
 from conetorsion.fem import (FemField, bary_gradients, build_dofmap,
                             shape_bary_grads, shape_values)
 from conetorsion.geometry import boundary_partition
 from conetorsion.mesher import _tag_edges, boundary_edges_of
 from conetorsion.quadrature import TRI_POINTS, TRI_WEIGHTS
-from conetorsion.quantities import edge_trace
+from conetorsion.quantities import collar_edge_mask, edge_trace
 
 TOL = 1e-12
 FN = lambda x, y: np.sin(3 * x) * np.cos(2 * y) + x * y**2
@@ -205,6 +210,76 @@ def _refine_oracle(mesh):
     return newV, newT, tags
 
 
+def _normal_derivative_oracle(u, n_gauss):
+    """The earlier flattened flux: (points, values, weights, normals, collar)."""
+    tr = edge_trace(u.mesh, GAMMA0, n_gauss)
+    ng = tr.weights.shape[1]
+    unu = np.einsum("egx,ex->eg", u.gradients(tr.elements[:, None], tr.lam), tr.normals)
+    collar = np.repeat(collar_edge_mask(u.mesh, tr), ng)
+    return (tr.points.reshape(-1, 2), unu.ravel(), tr.weights.ravel(),
+            np.repeat(tr.normals, ng, axis=0), collar)
+
+
+def _min_value_oracle(values, collar, exclude_collar=True):
+    vals = values[~collar] if exclude_collar and np.any(~collar) else values
+    return float(np.min(vals))
+
+
+def _deficits_flux_oracle(u):
+    """R and the flux, m, m_all and collar block of the earlier ``deficits``."""
+    mesh = u.mesh
+    tr0 = edge_trace(mesh, GAMMA0, 3)
+    unu = np.einsum("egx,ex->eg", u.gradients(tr0.elements[:, None], tr0.lam),
+                    tr0.normals)
+    R = 2.0 * float(np.sum(u._areas)) / tr0.total_length
+    collar = collar_edge_mask(mesh, tr0)
+    interior_vals = unu[~collar] if np.any(~collar) else unu
+    m = float(np.min(interior_vals))
+    m_all = float(np.min(unu))
+    return R, m, m_all, int(np.sum(collar))
+
+
+def _center_violated_oracle(mesh, z):
+    """The earlier constraint test of ``deficits``: True when the identity is NaN."""
+    g1_rows = np.flatnonzero(mesh.boundary_tags == GAMMA1)
+    viol = 0.0
+    if len(g1_rows):
+        normals = mesh.boundary_normals()[g1_rows]
+        viol = float(np.max(np.abs(normals @ np.asarray(z, dtype=float))))
+    return not viol <= 1e-10 * (1.0 + float(np.linalg.norm(z)))
+
+
+def _identity_oracle(u, z, R=None):
+    """The earlier ``identity_residual`` with its own GAMMA0 flux block:
+    (lhs, rhs, gamma1_term, residual, lhs_exact_trace)."""
+    mesh = u.mesh
+    minus_int_u = -(TRI_WEIGHTS @ u.values(np.arange(mesh.n_triangles),
+                                           TRI_POINTS[:, None])) * u._areas
+    H = u.element_hessians()
+    frob = np.einsum("exy,exy->e", H, H)
+    tr = H[:, 0, 0] + H[:, 1, 1]
+    volume = float(np.sum(minus_int_u * (frob - tr**2 / 2.0)))
+    volume_exact = float(np.sum(minus_int_u * (frob - 2.0)))
+    gamma1 = 0.0
+    if np.any(mesh.boundary_tags == GAMMA1):
+        tr1 = edge_trace(mesh, GAMMA1, 3)
+        uvals = u.values(tr1.elements[:, None], tr1.lam)
+        grads = u.gradients(tr1.elements[:, None], tr1.lam)
+        Hn = np.einsum("exy,ey->ex", H[tr1.elements], tr1.normals)
+        hdotnu = np.einsum("egx,ex->eg", grads, Hn)
+        gamma1 = float(np.sum(tr1.weights * uvals * hdotnu))
+    tr0 = edge_trace(mesh, GAMMA0, 3)
+    unu = np.einsum("egx,ex->eg", u.gradients(tr0.elements[:, None], tr0.lam),
+                    tr0.normals)
+    if R is None:
+        R = 2.0 * float(np.sum(u._areas)) / tr0.total_length
+    xnu = np.einsum("egx,ex->eg", tr0.points - z[None, None, :], tr0.normals)
+    rhs = 0.5 * float(np.sum(tr0.weights * (unu**2 - R**2) * (unu - xnu)))
+    lhs = volume + gamma1
+    scale = max(abs(lhs), abs(rhs), R**2 * tr0.total_length * mesh.h_max**2)
+    return lhs, rhs, gamma1, abs(lhs - rhs) / scale, volume_exact + gamma1
+
+
 # ---------------------------------------------------------------------------
 # meshes and fields
 # ---------------------------------------------------------------------------
@@ -313,3 +388,41 @@ def test_bary_gradients_cached_read_only(meshes):
     assert not G.flags.writeable and not areas.flags.writeable
     np.testing.assert_array_equal(areas, meshes[0].areas)
     assert interpolate(meshes[0], 2, FN)._G is G
+
+
+@pytest.fixture(scope="module")
+def solves(meshes):
+    """P2 torsion solves on the disk, the quarter cone and the refined one."""
+    return [solve(assemble(mesh, 2)) for mesh in meshes[:3]]
+
+
+def test_flux_report_and_identity_match_earlier_flux_paths(solves):
+    # u = xy has the flux sin 2t on a quarter arc: its minimum is in the collar
+    saddles = [interpolate(u.mesh, 2, lambda x, y: x * y) for u in solves]
+    nan_rows = collar_minima = 0
+    for u in solves + saddles:
+        for n_gauss in (2, 3):
+            bf = normal_derivative(u, n_gauss)
+            _, values, weights, _, collar = _normal_derivative_oracle(u, n_gauss)
+            assert bf.n_gauss == n_gauss
+            assert np.array_equal(bf.values.ravel(), values)
+            assert np.array_equal(bf.weights.ravel(), weights)
+            assert np.array_equal(np.repeat(bf.collar, n_gauss), collar)
+            for exclude in (True, False):
+                assert bf.min_value(exclude) == _min_value_oracle(values, collar, exclude)
+            collar_minima += bf.min_value() > bf.min_value(exclude_collar=False)
+        z = compute_center(u, normal_span(boundary_partition(u.mesh.spec)))
+        for center in (z, alternative_center(u)):
+            rep = deficits(u, center)
+            assert (rep.R, rep.m, rep.m_all_points, rep.collar_excluded) == \
+                _deficits_flux_oracle(u)
+            columns = (rep.identity_lhs, rep.identity_rhs, rep.gamma1_term,
+                       rep.identity_residual, rep.extras["identity_lhs_exact_trace"])
+            if _center_violated_oracle(u.mesh, center.z):
+                assert all(math.isnan(c) for c in columns)
+                nan_rows += 1
+            else:
+                assert columns == _identity_oracle(u, center.z, R=rep.R)
+        assert astuple(identity_residual(u, z)) == _identity_oracle(u, z.z)
+    assert nan_rows == 2        # the free centers of both quarter-cone solves
+    assert collar_minima == 4   # the saddle on both quarter cones, 2 and 3 points

@@ -8,7 +8,7 @@ from scipy.integrate import quad
 
 from conetorsion import (ConstantRadius, DomainError, FourierRadius,
                          TableRadius, boundary_partition, domain_area,
-                         gamma0_length, geometry_report, interior_sphere_radius,
+                         domain_diameter, gamma0_length, interior_sphere_radius,
                          make_sector_domain, normal_span, parse_radius_spec,
                          polar_curvature, rho_extremes, serrin_radius)
 from conetorsion.geometry import _DISTANCE_BLOCK, polyline_distance
@@ -76,6 +76,7 @@ def test_quarter_partition_legs_and_normals(quarter_spec):
     # legs run origin <-> graph endpoints
     np.testing.assert_allclose(part.gamma1_segments[0][1], [1, 0], atol=1e-14)
     np.testing.assert_allclose(part.gamma1_segments[1][0], [0, 1], atol=1e-14)
+    assert domain_diameter(quarter_spec) == pytest.approx(math.sqrt(2), rel=1e-4)
 
 
 def test_half_disk_partition(half_spec):
@@ -277,16 +278,3 @@ def test_polar_curvature_matches_finite_differences(pert_disk_spec):
     np.testing.assert_allclose(polar_curvature(pert_disk_spec, ts), kap_fd,
                                rtol=1e-5)
 
-
-# ---------------------------------------------------------------------------
-# geometry report
-# ---------------------------------------------------------------------------
-
-def test_geometry_report_quarter(quarter_spec):
-    rep = geometry_report(quarter_spec)
-    assert rep.area == pytest.approx(math.pi / 4, rel=1e-9)
-    assert rep.gamma0_length == pytest.approx(math.pi / 2, rel=1e-9)
-    assert rep.diameter == pytest.approx(math.sqrt(2), rel=1e-4)
-    assert 0 < rep.rho_i <= rep.rho_e
-    assert 0 < rep.r_i_estimate <= rep.rho_e + 1e-9
-    assert 0 < rep.theta <= math.pi / 2 and rep.a_tilde > 0

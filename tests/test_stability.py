@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -80,13 +81,6 @@ def test_sweep_deficits_monotone_in_eps(disk_sweep):
         assert np.all(np.diff(vals) >= -0.05 * vals[1:]), (col, vals)
 
 
-def test_sweep_reestimates_largest_when_asked(disk_spec):
-    fam = make_family(disk_spec, 3, [0.08])
-    res = run_sweep(fam, 0.1, 2, reestimate_largest=True)
-    assert res.lam_largest is not None
-    assert res.lam_largest == pytest.approx(res.lam, rel=0.15)
-
-
 # ---------------------------------------------------------------------------
 # exponent fits
 # ---------------------------------------------------------------------------
@@ -148,8 +142,6 @@ def test_disk_verdicts_all_pass(disk_sweep):
     assert "classical_depth_bound" in names
     assert "classical_gradient_bound" in names
     assert "rho_gap_ratio_bounded" in names
-    out_of_scope = [v for v in verdicts if v.passed is None]
-    assert any(v.theorem == "rho_gap_profile_N_ge_3" for v in out_of_scope)
 
 
 def test_quarter_verdicts_all_pass(quarter_sweep):
@@ -163,6 +155,47 @@ def test_rho_ratio_bounded(disk_sweep):
     verdicts = verify_theorems(disk_sweep)
     row = next(v for v in verdicts if v.theorem == "rho_gap_ratio_bounded")
     assert row.passed and row.lhs <= 1.5
+
+
+def _with_report(result, i, **changes):
+    """``result`` with row i's ``report`` or ``report_alt`` fields replaced."""
+    rows = list(result.rows)
+    rows[i] = replace(rows[i], **{name: replace(getattr(rows[i], name), **fields)
+                                  for name, fields in changes.items()})
+    return replace(result, rows=rows)
+
+
+@pytest.mark.parametrize("kind", ["lipschitz_pseudodistance",
+                                  "lipschitz_alternative_center",
+                                  "classical_depth_bound",
+                                  "classical_gradient_bound",
+                                  "rho_gap_ratio_bounded"])
+def test_each_verdict_kind_can_fail(disk_sweep, kind):
+    """A synthetic row that breaks one inequality fails that verdict alone."""
+    if kind == "rho_gap_ratio_bounded":
+        ratios = [r.report.rho_gap / r.report.deficit_1 if r.eps > 0 else 0.0
+                  for r in disk_sweep.rows]
+        i = int(np.argmax(ratios))      # doubling the largest ratio: max/min >= 2
+        bad = _with_report(disk_sweep, i, report={
+            "rho_gap": 2 * disk_sweep.rows[i].report.rho_gap})
+        eps = 0.0                       # one verdict over the whole sweep
+    else:
+        i = len(disk_sweep.rows) - 1
+        row = disk_sweep.rows[i]
+        eps = row.eps
+        rhs = next(v.rhs for v in verify_theorems(disk_sweep)
+                   if v.theorem == kind and v.eps == eps)
+        extras = lambda key: {"extras": {**row.report.extras, key: 2 * rhs}}
+        bad = _with_report(disk_sweep, i, **{
+            "lipschitz_pseudodistance": {"report": {"pseudodistance": 2 * rhs}},
+            "lipschitz_alternative_center": {"report_alt": {"pseudodistance": 2 * rhs}},
+            "classical_depth_bound": {"report": extras("max_minus_u")},
+            "classical_gradient_bound": {"report": extras("max_grad")},
+        }[kind])
+    failed = [v for v in verify_theorems(bad) if v.passed is False]
+    assert [(v.theorem, v.eps) for v in failed] == [(kind, eps)]
+    assert failed[0].margin < 0
+    assert all(v.passed is not False for v in verify_theorems(disk_sweep))
 
 
 # ---------------------------------------------------------------------------
