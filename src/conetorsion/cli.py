@@ -61,7 +61,6 @@ def parse_angle(text: str) -> float:
 class RunConfig:
     spec: DomainSpec
     h_target: float
-    degree: int
     refinements: int
     sweep_mode: int | None
     sweep_eps: tuple
@@ -117,9 +116,9 @@ def load_config(path: str) -> RunConfig:
 
     mesh_sec = parser["mesh"] if "mesh" in parser else {}
     h_target = float(mesh_sec.get("h_target", "0.05"))
-    degree = int(mesh_sec.get("degree", "2"))
-    if degree not in (1, 2):
-        raise ConfigError("degree must be 1 or 2")
+    if int(mesh_sec.get("degree", "2")) != 2:
+        raise ConfigError("degree must be 2 (the flux and the element Hessians "
+                          "need a degree-2 field)")
     refinements = int(mesh_sec.get("refinements", "3"))
 
     sweep_mode, sweep_eps = None, ()
@@ -147,7 +146,7 @@ def load_config(path: str) -> RunConfig:
     prefix = out.get("prefix", "run")
     export_mesh = _bool(out.get("export_mesh", "no"))
     export_solution = _bool(out.get("export_solution", "no"))
-    return RunConfig(spec, h_target, degree, refinements, sweep_mode, sweep_eps,
+    return RunConfig(spec, h_target, refinements, sweep_mode, sweep_eps,
                      alphas, kinds, plevels, prefix, export_mesh,
                      export_solution, dom["radius"].strip())
 
@@ -168,8 +167,7 @@ def cmd_solve(cfg: RunConfig, out_dir: str, require_constant: bool = False) -> i
                           "(the cone is only rigid for ball sectors)")
     if require_constant and not cfg.spec.cone.is_convex:
         raise ConfigError("the rigidity statement needs the cone to be convex")
-    res = stability.run_pipeline(cfg.spec, cfg.h_target, cfg.degree,
-                                 domain_id=cfg.prefix)
+    res = stability.run_pipeline(cfg.spec, cfg.h_target, domain_id=cfg.prefix)
     rep = res.report
     _write_lines(os.path.join(out_dir, f"{cfg.prefix}_report.csv"),
                  [DeficitReport.csv_header(), rep.csv_row()])
@@ -207,7 +205,7 @@ def cmd_identity(cfg: RunConfig, out_dir: str, strict: bool) -> int:
             "identity_residual,max_grad,hessian_l2,blowup_flag"]
     residuals, prev = [], None
     for level in range(cfg.refinements):
-        u = fem.solve(fem.assemble(mesh, cfg.degree))
+        u = fem.solve(fem.assemble(mesh))
         z = quantities.compute_center(u, span)
         ident = quantities.identity_residual(u, z)
         gmax = quantities.max_gradient(u)
@@ -260,8 +258,8 @@ def cmd_sweep(cfg: RunConfig, out_dir: str, threads: int, svg: bool,
     if cfg.sweep_mode is None or not cfg.sweep_eps:
         raise ConfigError("sweep needs [sweep] mode and a nonempty epsilons list")
     family = stability.make_family(cfg.spec, cfg.sweep_mode, cfg.sweep_eps)
-    result = stability.run_sweep(family, cfg.h_target, cfg.degree,
-                                 threads=threads, label=cfg.prefix)
+    result = stability.run_sweep(family, cfg.h_target, threads=threads,
+                                 label=cfg.prefix)
     fits = []
     if len(cfg.sweep_eps) >= 3:
         fits = [stability.fit_exponent(result, "deficit_2", "pseudodistance"),

@@ -20,8 +20,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .fem import (FemField, bary_gradients, build_dofmap, edge_dofs,
-                  element_stiffness, factor_spd, scatter, shape_values)
+from .fem import (FemField, bary_gradients, build_dofmap, element_stiffness,
+                  factor_spd, scatter, shape_values)
 from .geometry import BoundaryPartition, SpanInfo
 from .mesher import GAMMA0, GAMMA1, TaggedMesh, refine
 from .quadrature import TRI_POINTS, TRI_WEIGHTS
@@ -50,12 +50,9 @@ class PoincareEstimate:
 # assembly
 # ---------------------------------------------------------------------------
 
-def _boundary_segments(mesh: TaggedMesh, tag: int | None = None):
-    """Mesh boundary edges (optionally one tag) as segment arrays."""
-    if tag is None:
-        edges = mesh.boundary_edges
-    else:
-        edges = mesh.boundary_edges[mesh.boundary_tags == tag]
+def _boundary_segments(mesh: TaggedMesh):
+    """Mesh boundary edges as segment arrays."""
+    edges = mesh.boundary_edges
     return mesh.vertices[edges[:, 0]], mesh.vertices[edges[:, 1]]
 
 
@@ -66,14 +63,14 @@ def _distance_weights(mesh: TaggedMesh, alpha: float, seg_a, seg_b) -> np.ndarra
     return mesh.quadrature_distances(seg_a, seg_b) ** (2.0 * alpha)
 
 
-def _p1_matrices(mesh: TaggedMesh, alpha: float, seg_a, seg_b, degree: int = 1):
-    """Weighted Lagrange stiffness (weight d^(2 alpha)) and mass matrix."""
-    dofmap = build_dofmap(mesh, degree)
+def _p1_matrices(mesh: TaggedMesh, alpha: float, seg_a, seg_b):
+    """Weighted P1 stiffness (weight d^(2 alpha)) and mass matrix."""
+    dofmap = build_dofmap(mesh, 1)
     G, areas = bary_gradients(mesh)
     weights = _distance_weights(mesh, alpha, seg_a, seg_b)
-    Nsh = shape_values(degree, TRI_POINTS)                       # (7, nloc)
+    Nsh = shape_values(1, TRI_POINTS)                            # (7, 3)
     mass = np.einsum("q,qi,qj->ij", TRI_WEIGHTS, Nsh, Nsh)
-    A = scatter(dofmap, element_stiffness(G, areas, degree, weights))
+    A = scatter(dofmap, element_stiffness(G, areas, 1, weights))
     M = scatter(dofmap, areas[:, None, None] * mass)
     return A, M
 
@@ -106,14 +103,13 @@ def _first_positive(vals: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 def mu_estimate(mesh: TaggedMesh, alpha: float, levels: int = 1,
-                boundary=None, degree: int = 1) -> PoincareEstimate:
+                boundary=None) -> PoincareEstimate:
     """Zero-mean scalar constant on the given mesh (optionally refined).
 
     The zero-mean subspace is reached spectrally: constants are the exact
     kernel of the weighted stiffness, so the smallest positive eigenvalue of
     (A, M) is the constrained minimum.  ``boundary`` overrides the distance
-    polyline (defaults to the mesh boundary); ``degree`` selects the field
-    space (1 by default, 2 optional).
+    polyline (defaults to the mesh boundary).
     """
     _check_alpha(alpha)
     history = []
@@ -123,7 +119,7 @@ def mu_estimate(mesh: TaggedMesh, alpha: float, levels: int = 1,
             seg_a, seg_b = _boundary_segments(current)
         else:
             seg_a, seg_b = boundary
-        A, M = _p1_matrices(current, alpha, seg_a, seg_b, degree)
+        A, M = _p1_matrices(current, alpha, seg_a, seg_b)
         vals = _smallest_eigs(A, M)
         if abs(vals[0]) > 1e-6 * max(1.0, vals[-1]):
             raise EigenError(f"constant mode missing from spectrum: {vals}")
@@ -149,16 +145,12 @@ def _check_alpha(alpha: float) -> None:
 # eta
 # ---------------------------------------------------------------------------
 
-def _gamma1_node_normals(mesh: TaggedMesh, dofmap) -> dict:
-    """node id -> list of incident GAMMA1 unit normals (midpoints included)."""
+def _gamma1_node_normals(mesh: TaggedMesh) -> dict:
+    """vertex id -> list of incident GAMMA1 unit normals."""
     rows = np.flatnonzero(mesh.boundary_tags == GAMMA1)
     normals = mesh.boundary_normals()[rows]
-    edges = mesh.boundary_edges[rows]
-    nodes = edges.tolist()
-    if dofmap.degree == 2:
-        nodes = np.column_stack([edges, edge_dofs(dofmap, edges)]).tolist()
     out: dict[int, list] = {}
-    for row, nu in zip(nodes, normals):
+    for row, nu in zip(mesh.boundary_edges[rows].tolist(), normals):
         for v in row:
             lst = out.setdefault(v, [])
             if not any(abs(nu @ e) > 1 - 1e-12 for e in lst):
@@ -166,14 +158,14 @@ def _gamma1_node_normals(mesh: TaggedMesh, dofmap) -> dict:
     return out
 
 
-def _constraint_basis(mesh: TaggedMesh, span: SpanInfo, drop_constraint: bool,
-                      dofmap) -> sp.csr_matrix:
-    """Sparse basis Z of the admissible vector subspace (dof = 2*node+comp)."""
-    n = dofmap.n_dofs
+def _constraint_basis(mesh: TaggedMesh, span: SpanInfo,
+                      drop_constraint: bool) -> sp.csr_matrix:
+    """Sparse basis Z of the admissible P1 vector subspace (dof = 2*node+comp)."""
+    n = mesh.n_vertices
     if span.k == 0:
         raise ValueError("eta needs a nonempty GAMMA1 (k >= 1); use mu_estimate")
     S = span.basis.T                      # (2, k) columns span the value space
-    node_normals = {} if drop_constraint else _gamma1_node_normals(mesh, dofmap)
+    node_normals = {} if drop_constraint else _gamma1_node_normals(mesh)
     # the columns of a node are S @ D, D a null-space basis of its normal
     # conditions; D = I at the nodes without one
     blocks = {}
@@ -195,24 +187,22 @@ def _constraint_basis(mesh: TaggedMesh, span: SpanInfo, drop_constraint: bool,
 
 
 def eta_estimate(mesh: TaggedMesh, partition: BoundaryPartition, span: SpanInfo,
-                 alpha: float, levels: int = 1, drop_constraint: bool = False,
-                 degree: int = 1) -> PoincareEstimate:
+                 alpha: float, levels: int = 1,
+                 drop_constraint: bool = False) -> PoincareEstimate:
     """Constrained vector-field constant; weight measures distance to GAMMA0.
 
     ``drop_constraint`` removes the <v, nu> = 0 nodal conditions (ablation:
-    constants become admissible and the smallest eigenvalue collapses to 0);
-    ``degree`` selects the field space (1 by default, 2 optional).
+    constants become admissible and the smallest eigenvalue collapses to 0).
     """
     _check_alpha(alpha)
     history = []
     current = mesh
     seg_a0, seg_b0 = partition.gamma0.segments()
     for lv in range(levels):
-        A, M = _p1_matrices(current, alpha, seg_a0, seg_b0, degree)
+        A, M = _p1_matrices(current, alpha, seg_a0, seg_b0)
         A2 = sp.kron(A, sp.identity(2), format="csr")
         M2 = sp.kron(M, sp.identity(2), format="csr")
-        Z = _constraint_basis(current, span, drop_constraint,
-                              build_dofmap(current, degree))
+        Z = _constraint_basis(current, span, drop_constraint)
         vals = _smallest_eigs(Z.T @ A2 @ Z, Z.T @ M2 @ Z)
         if drop_constraint:
             history.append(math.sqrt(max(vals[0], 0.0)))

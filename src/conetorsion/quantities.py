@@ -21,11 +21,11 @@ from .geometry import DomainSpec, SpanInfo, boundary_partition, segment_extremes
 from .mesher import GAMMA0, GAMMA1, TaggedMesh
 from .quadrature import TRI_POINTS, TRI_WEIGHTS, edge_gauss
 
-CSV_COLUMNS = (
-    "domain_id,h_max,degree,R,m,z_x,z_y,deficit_1,deficit_2,pseudodistance,"
-    "rho_gap,identity_lhs,identity_rhs,gamma1_term,identity_residual,"
-    "C_bound,C_bound_satisfied"
-)
+CSV_COLUMNS = ("domain_id", "h_max", "degree", "R", "m", "z_x", "z_y",
+               "deficit_1", "deficit_2", "pseudodistance", "rho_gap",
+               "identity_lhs", "identity_rhs", "gamma1_term",
+               "identity_residual", "C_bound", "C_bound_satisfied")
+_LABEL_COLUMNS = ("domain_id", "degree", "C_bound_satisfied")   # not numeric
 
 
 class CenterError(ValueError):
@@ -126,7 +126,7 @@ def normal_derivative(u: FemField, n_gauss: int = 2) -> BoundaryField:
 class Center:
     z: np.ndarray
     k: int
-    span_constrained: bool    # True: components along span{nu(Gamma1)} zeroed
+    z_free: np.ndarray    # the free center z is projected from
 
 
 def _free_center(u: FemField) -> np.ndarray:
@@ -148,12 +148,13 @@ def compute_center(u: FemField, span: SpanInfo) -> Center:
     rot = span.rotation
     zr = rot @ zf
     zr[:span.k] = 0.0
-    return Center(rot.T @ zr, span.k, True)
+    return Center(rot.T @ zr, span.k, zf)
 
 
 def alternative_center(u: FemField) -> Center:
     """Unconstrained center (all components free)."""
-    return Center(_free_center(u), 0, False)
+    zf = _free_center(u)
+    return Center(zf, 0, zf)
 
 
 def check_center_constraint(mesh: TaggedMesh, z: np.ndarray, tol: float = 1e-10) -> None:
@@ -177,12 +178,17 @@ def h_field(u: FemField, center: Center | np.ndarray) -> FemField:
     return FemField(u.mesh, u.degree, q.coeffs - u.coeffs, u.dofmap)
 
 
-def cs_deficit(u: FemField) -> np.ndarray:
-    """Per element |D^2 u|^2 - (tr D^2 u)^2 / N, clamped at tiny negatives."""
+def _hessian_terms(u: FemField):
+    """Element Hessians H, |H|^2 and |H|^2 - (tr H)^2 / N per element."""
     H = u.element_hessians()
     frob = np.einsum("exy,exy->e", H, H)
     tr = H[:, 0, 0] + H[:, 1, 1]
-    out = frob - tr**2 / 2.0
+    return H, frob, frob - tr**2 / 2.0
+
+
+def cs_deficit(u: FemField) -> np.ndarray:
+    """Per element |D^2 u|^2 - (tr D^2 u)^2 / N, clamped at tiny negatives."""
+    out = _hessian_terms(u)[2]
     out[(out < 0) & (out > -1e-12)] = 0.0
     return out
 
@@ -218,10 +224,8 @@ def identity_residual(u: FemField, center: Center | np.ndarray,
     # int_T (-u), exact for the element polynomial
     minus_int_u = -(TRI_WEIGHTS @ u.values(np.arange(mesh.n_triangles),
                                            TRI_POINTS[:, None])) * u._areas
-    H = u.element_hessians()
-    frob = np.einsum("exy,exy->e", H, H)
-    tr = H[:, 0, 0] + H[:, 1, 1]
-    volume = float(np.sum(minus_int_u * (frob - tr**2 / 2.0)))
+    H, frob, gap = _hessian_terms(u)
+    volume = float(np.sum(minus_int_u * gap))
     volume_exact = float(np.sum(minus_int_u * (frob - 2.0)))  # (Delta u)^2/N = N
 
     gamma1 = 0.0
@@ -262,6 +266,7 @@ class DeficitReport:
     deficit_1: float
     deficit_2: float
     pseudodistance: float
+    pseudodistance_free: float   # at Center.z_free; NaN for a bare-array center
     rho_gap: float
     identity_lhs: float
     identity_rhs: float
@@ -277,35 +282,30 @@ class DeficitReport:
 
     @staticmethod
     def csv_header() -> str:
-        return CSV_COLUMNS
+        return ",".join(CSV_COLUMNS)
+
+    def _value(self, name: str):
+        if name in ("z_x", "z_y"):
+            return self.z["xy".index(name[-1])]
+        return getattr(self, name)
 
     def csv_row(self) -> str:
-        def num(x):
-            return f"{x:.12g}"
+        def cell(v):
+            if v is None:
+                return ""
+            if isinstance(v, str):
+                return v
+            if isinstance(v, (bool, np.bool_)):
+                return str(v).lower()
+            return f"{v:.12g}"
 
-        cb = "" if self.C_bound is None else num(self.C_bound)
-        cbs = "" if self.C_bound_satisfied is None else str(self.C_bound_satisfied).lower()
-        vals = [self.domain_id, num(self.h_max), str(self.degree), num(self.R),
-                num(self.m), num(self.z[0]), num(self.z[1]), num(self.deficit_1),
-                num(self.deficit_2), num(self.pseudodistance), num(self.rho_gap),
-                num(self.identity_lhs), num(self.identity_rhs),
-                num(self.gamma1_term), num(self.identity_residual), cb, cbs]
-        return ",".join(vals)
+        return ",".join(cell(self._value(name)) for name in CSV_COLUMNS)
 
     def column(self, name: str) -> float:
-        mapping = {
-            "h_max": self.h_max, "R": self.R, "m": self.m,
-            "z_x": self.z[0], "z_y": self.z[1],
-            "deficit_1": self.deficit_1, "deficit_2": self.deficit_2,
-            "pseudodistance": self.pseudodistance, "rho_gap": self.rho_gap,
-            "identity_lhs": self.identity_lhs, "identity_rhs": self.identity_rhs,
-            "gamma1_term": self.gamma1_term,
-            "identity_residual": self.identity_residual,
-        }
-        if name in mapping:
-            return float(mapping[name])
-        if name == "C_bound":
-            return float("nan") if self.C_bound is None else float(self.C_bound)
+        """A numeric CSV column (C_bound None reads NaN) or an ``extras`` entry."""
+        if name in CSV_COLUMNS and name not in _LABEL_COLUMNS:
+            v = self._value(name)
+            return float("nan") if v is None else float(v)
         if name in self.extras:
             return float(self.extras[name])
         raise KeyError(name)
@@ -317,10 +317,12 @@ def deficits(u: FemField, center: Center | np.ndarray, *,
 
     ``lambda_21`` is the Poincare combination Lambda_{2,1}(k); when given and
     the flux lower bound m is positive, the stability constant
-    (2 N Lambda^2 + 3) / (2 m) and its row check are recorded.
+    (2 N Lambda^2 + 3) / (2 m) and its row check are recorded.  For a
+    ``Center``, the pseudodistance at its free center is recorded as well.
     """
     z = center.z if isinstance(center, Center) else np.asarray(center, dtype=float)
     k = center.k if isinstance(center, Center) else 0
+    z_free = center.z_free if isinstance(center, Center) else None
     mesh = u.mesh
     flux = normal_derivative(u, 3)
     tr0, unu, w = flux.trace, flux.values, flux.weights
@@ -329,8 +331,13 @@ def deficits(u: FemField, center: Center | np.ndarray, *,
 
     deficit_1 = float(np.sqrt(np.sum(w * (unu - R) ** 2)))
     deficit_2 = float(np.sqrt(np.sum(w * (unu**2 - R**2) ** 2)))
-    dist = np.linalg.norm(tr0.points - z[None, None, :], axis=2)
-    pseudo = float(np.sqrt(np.sum(w * (dist - R) ** 2)))
+
+    def pseudodistance(c):
+        dist = np.linalg.norm(tr0.points - c[None, None, :], axis=2)
+        return float(np.sqrt(np.sum(w * (dist - R) ** 2)))
+
+    pseudo = pseudodistance(z)
+    pseudo_free = float("nan") if z_free is None else pseudodistance(z_free)
 
     edges = mesh.boundary_edges[tr0.edge_rows]
     seg_min, seg_max = segment_extremes(mesh.vertices[edges[:, 0]],
@@ -353,7 +360,7 @@ def deficits(u: FemField, center: Center | np.ndarray, *,
     return DeficitReport(
         domain_id=domain_id, h_max=mesh.h_max, degree=u.degree, R=R, m=m,
         z=np.asarray(z, dtype=float), deficit_1=deficit_1, deficit_2=deficit_2,
-        pseudodistance=pseudo, rho_gap=rho_gap,
+        pseudodistance=pseudo, pseudodistance_free=pseudo_free, rho_gap=rho_gap,
         identity_lhs=ident.lhs, identity_rhs=ident.rhs,
         gamma1_term=ident.gamma1_term, identity_residual=ident.residual,
         C_bound=c_bound, C_bound_satisfied=satisfied, k=k,

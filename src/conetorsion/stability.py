@@ -23,8 +23,8 @@ from .geometry import (BoundaryPartition, DomainSpec, ScaledRadius, SpanInfo,
                        exterior_sphere_radius, interior_sphere_radius,
                        make_sector_domain, normal_span)
 from .mesher import TaggedMesh, triangulate
-from .quantities import (Center, DeficitReport, alternative_center,
-                         compute_center, deficits, max_depth, max_gradient)
+from .quantities import (Center, DeficitReport, compute_center, deficits,
+                         max_depth, max_gradient)
 
 
 class SweepError(RuntimeError):
@@ -67,7 +67,6 @@ class PipelineResult:
     field: fem.FemField
     center: Center
     report: DeficitReport
-    report_alt: DeficitReport
     span: SpanInfo
     partition: BoundaryPartition
     lam: float
@@ -76,32 +75,30 @@ class PipelineResult:
 
 
 def estimate_lambda(mesh: TaggedMesh, partition: BoundaryPartition,
-                    span: SpanInfo, alpha: float = 1.0):
-    """(Lambda, mu, eta) on one mesh; eta only when GAMMA1 is present."""
+                    span: SpanInfo):
+    """(Lambda_{2,1}, mu, eta) on one mesh; eta only when GAMMA1 is present."""
     seg = partition.all_segments()
-    mu = poincare.mu_estimate(mesh, alpha, boundary=(seg[0], seg[1]))
+    mu = poincare.mu_estimate(mesh, 1.0, boundary=(seg[0], seg[1]))
     eta = None
     if span.k >= 1:
-        eta = poincare.eta_estimate(mesh, partition, span, alpha)
+        eta = poincare.eta_estimate(mesh, partition, span, 1.0)
     return poincare.lambda_constant(span.k, mu, eta), mu, eta
 
 
 def run_pipeline(spec: DomainSpec, h_target: float, degree: int = 2, *,
-                 lam: float | None = None, alpha: float = 1.0,
-                 domain_id: str = "", mu=None, eta=None) -> PipelineResult:
+                 lam: float | None = None, domain_id: str = "") -> PipelineResult:
     """mesh -> solve -> center -> deficits, estimating Lambda when not given."""
     part = boundary_partition(spec)
     span = normal_span(part)
     mesh = triangulate(spec, h_target)
     u = fem.solve(fem.assemble(mesh, degree))
+    mu = eta = None
     if lam is None:
-        lam, mu, eta = estimate_lambda(mesh, part, span, alpha)
+        lam, mu, eta = estimate_lambda(mesh, part, span)
     z = compute_center(u, span)
     rep = deficits(u, z, lambda_21=lam, domain_id=domain_id)
-    z_alt = alternative_center(u)
-    rep_alt = deficits(u, z_alt, lambda_21=lam, domain_id=domain_id + "[alt-z]")
     _attach_extras(rep, spec, u, span)
-    return PipelineResult(spec, mesh, u, z, rep, rep_alt, span, part, lam, mu, eta)
+    return PipelineResult(spec, mesh, u, z, rep, span, part, lam, mu, eta)
 
 
 def _attach_extras(rep: DeficitReport, spec: DomainSpec, u: fem.FemField,
@@ -123,7 +120,6 @@ def _attach_extras(rep: DeficitReport, spec: DomainSpec, u: fem.FemField,
 class SweepRow:
     eps: float
     report: DeficitReport
-    report_alt: DeficitReport
 
     def column(self, name: str) -> float:
         if name == "eps":
@@ -140,7 +136,6 @@ class SweepResult:
     k: int
     h_target: float
     degree: int
-    alpha: float
     label: str
     failures: list = field(default_factory=list)
 
@@ -150,8 +145,7 @@ class SweepResult:
 
 
 def run_sweep(family: Family, h_target: float, degree: int = 2, *,
-              threads: int = 1, alpha: float = 1.0,
-              label: str = "family") -> SweepResult:
+              threads: int = 1, label: str = "family") -> SweepResult:
     """One deficit row per member at a common mesh policy.
 
     Lambda comes from the base member's mesh and is shared across rows.  A
@@ -162,14 +156,14 @@ def run_sweep(family: Family, h_target: float, degree: int = 2, *,
     part0 = boundary_partition(base)
     span0 = normal_span(part0)
     mesh0 = triangulate(base, h_target)
-    lam, mu, eta = estimate_lambda(mesh0, part0, span0, alpha)
+    lam, mu, eta = estimate_lambda(mesh0, part0, span0)
 
     def one(eps_spec):
         eps, spec = eps_spec
         dom_id = f"{label}-eps{eps:g}"
         res = run_pipeline(spec, h_target, degree, lam=lam,
                            domain_id=dom_id)
-        return SweepRow(eps, res.report, res.report_alt)
+        return SweepRow(eps, res.report)
 
     rows: list = []
     failures: list = []
@@ -189,8 +183,8 @@ def run_sweep(family: Family, h_target: float, degree: int = 2, *,
                     failures.append((member[0], repr(exc)))
     rows.sort(key=lambda r: r.eps)
 
-    result = SweepResult(rows, lam, mu, eta, span0.k, h_target, degree, alpha,
-                         label, failures)
+    result = SweepResult(rows, lam, mu, eta, span0.k, h_target, degree, label,
+                         failures)
     if failures:
         err = SweepError(f"members failed: {failures}")
         err.partial = result
@@ -287,13 +281,14 @@ def verify_theorems(result: SweepResult) -> list:
             verdicts.append(TheoremVerdict(
                 "lipschitz_pseudodistance", row.eps, rep.pseudodistance, rhs,
                 rhs - rep.pseudodistance, rep.pseudodistance <= rhs))
-        ra = row.report_alt
-        if ra.m > 0:
-            c_alt = poincare.theorem_constant(ra.m, mu_only)
-            rhs = c_alt * ra.deficit_2
+        if rep.m > 0:
+            # the free center; m and deficit_2 do not depend on the center
+            c_alt = poincare.theorem_constant(rep.m, mu_only)
+            rhs = c_alt * rep.deficit_2
+            lhs = rep.pseudodistance_free
             verdicts.append(TheoremVerdict(
-                "lipschitz_alternative_center", row.eps, ra.pseudodistance, rhs,
-                rhs - ra.pseudodistance, ra.pseudodistance <= rhs))
+                "lipschitz_alternative_center", row.eps, lhs, rhs, rhs - lhs,
+                lhs <= rhs))
         if result.k == 0:
             d = rep.extras.get("diameter", float("nan"))
             re_ = rep.extras.get("r_e", float("nan"))

@@ -1,20 +1,24 @@
-"""Names the demos and the benchmark tracer bind still exist.
+"""Names the demos and the benchmark bind still exist.
 
-Static checks only (no demo runs): every ``conetorsion`` import in
-``demos/*.py`` resolves, and every ``bench/tracer.py`` span names a function
-whose signature has the arguments its counter reads.
+Static checks only (no demo runs, no solves): every ``conetorsion`` import
+in ``demos/*.py`` resolves, every ``bench/tracer.py`` span names a function
+whose signature has the arguments its counter reads, and every sweep column
+``bench/workloads.py`` reports is one that ``SweepRow.column`` answers.
 """
 
 import ast
 import importlib
 import inspect
+from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 TRACER = ROOT / "bench" / "tracer.py"
+WORKLOADS = ROOT / "bench" / "workloads.py"
 
 
 def _conetorsion_imports(path):
@@ -65,3 +69,22 @@ def test_tracer_span_resolves_and_binds(span):
     assert callable(fn), f"conetorsion.{module}.{name}"
     params = inspect.signature(fn).parameters
     assert arguments <= set(params), (counter, arguments - set(params))
+
+
+def _row_columns():
+    """The ``_ROW_COLUMNS`` tuple of bench/workloads.py."""
+    tree = ast.parse(WORKLOADS.read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "_ROW_COLUMNS" for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError("bench/workloads.py defines no _ROW_COLUMNS")
+
+
+@pytest.mark.parametrize("name", _row_columns())
+def test_bench_row_column_resolves(name):
+    from conetorsion.quantities import DeficitReport
+    from conetorsion.stability import SweepRow
+    values = {f.name: 0.0 for f in fields(DeficitReport) if f.name != "extras"}
+    report = DeficitReport(**{**values, "z": np.zeros(2)})
+    assert isinstance(SweepRow(0.0, report).column(name), float)

@@ -49,7 +49,7 @@ def test_parse_angle_rejects_garbage():
 def test_load_config_roundtrip(tmp_path):
     cfg = load_config(write_config(tmp_path, QUARTER))
     assert cfg.spec.beta == pytest.approx(math.pi / 2)
-    assert cfg.h_target == 0.1 and cfg.degree == 2
+    assert cfg.h_target == 0.1 and not hasattr(cfg, "degree")
     assert cfg.prefix == "q"
 
 
@@ -133,12 +133,12 @@ def test_mesh_target_too_large_is_numerical_error(tmp_path, capsys):
     assert code == cli.EXIT_NUMERICAL
 
 
-def test_degree_one_solve_is_numerical_error(tmp_path, capsys):
+def test_degree_one_is_validation_error(tmp_path, capsys):
     body = QUARTER.replace("degree = 2", "degree = 1")
     code = main(["solve", "--config", write_config(tmp_path, body),
                  "--out", str(tmp_path)])
-    assert code == cli.EXIT_NUMERICAL
-    assert "degree-2 field" in capsys.readouterr().err
+    assert code == cli.EXIT_VALIDATION
+    assert "degree must be 2" in capsys.readouterr().err
 
 
 def test_exports_mesh_and_solution(tmp_path):

@@ -304,7 +304,7 @@ def test_factor_spd_matches_default_lu(oracle_meshes, quarter_spec):
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
     from conetorsion import boundary_partition, normal_span
-    from conetorsion.fem import build_dofmap, factor_spd
+    from conetorsion.fem import factor_spd
     from conetorsion.poincare import (_boundary_segments, _constraint_basis,
                                       _p1_matrices)
     systems = [_reduced(assemble(mesh, 2)) for mesh in oracle_meshes]
@@ -315,7 +315,7 @@ def test_factor_spd_matches_default_lu(oracle_meshes, quarter_spec):
         systems.append((A + M, rng.standard_normal(A.shape[0])))
     part = boundary_partition(quarter_spec)
     A, M = _p1_matrices(mesh, 0.5, *part.gamma0.segments())
-    Z = _constraint_basis(mesh, normal_span(part), False, build_dofmap(mesh, 1))
+    Z = _constraint_basis(mesh, normal_span(part), False)
     A2 = Z.T @ sp.kron(A, sp.identity(2)) @ Z
     M2 = Z.T @ sp.kron(M, sp.identity(2)) @ Z
     systems.append((A2 + M2, rng.standard_normal(A2.shape[0])))

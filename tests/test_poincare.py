@@ -93,20 +93,6 @@ def test_mu_rejects_bad_alpha(disk_spec):
         mu_estimate(triangulate(disk_spec, 0.2), 0.25)
 
 
-def test_degree_two_eigen_option(disk_spec, quarter_spec):
-    # optional degree-2 fields agree with (and improve on) the P1 default
-    mesh = triangulate(disk_spec, 0.06)
-    m1 = mu_estimate(mesh, 0.0, degree=1).value
-    m2 = mu_estimate(mesh, 0.0, degree=2).value
-    assert m2 == pytest.approx(m1, rel=0.01)
-    assert abs(m2 - BESSEL_J1_PRIME_ROOT) <= abs(m1 - BESSEL_J1_PRIME_ROOT)
-    part = boundary_partition(quarter_spec)
-    span = normal_span(part)
-    qmesh = triangulate(quarter_spec, 0.06)
-    e2 = eta_estimate(qmesh, part, span, 0.0, degree=2).value
-    assert e2 == pytest.approx(BESSEL_J1_PRIME_ROOT, rel=0.005)
-
-
 def _smallest_eigs_colamd(A, M, k: int = 4, sigma: float = -1.0) -> np.ndarray:
     """The earlier eigensolve: ARPACK builds its own default (COLAMD) LU."""
     import scipy.sparse.linalg as spla
@@ -185,13 +171,13 @@ def test_eta_ablation_admits_constants(quarter_spec):
 
 
 
-def _constraint_basis_oracle(mesh, span, drop_constraint, dofmap):
+def _constraint_basis_oracle(mesh, span, drop_constraint):
     """The earlier node-by-node construction of Z, kept as the oracle."""
     import scipy.sparse as sp
     from conetorsion.poincare import _gamma1_node_normals
-    n = dofmap.n_dofs
+    n = mesh.n_vertices
     S = span.basis.T
-    node_normals = {} if drop_constraint else _gamma1_node_normals(mesh, dofmap)
+    node_normals = {} if drop_constraint else _gamma1_node_normals(mesh)
     cols, rows, vals = [], [], []
     ncol = 0
     for v in range(n):
@@ -212,23 +198,20 @@ def _constraint_basis_oracle(mesh, span, drop_constraint, dofmap):
 
 
 def test_constraint_basis_matches_the_loop_oracle(quarter_spec, half_spec):
-    from conetorsion.fem import build_dofmap
     from conetorsion.poincare import _constraint_basis
     cases = [(quarter_spec, triangulate(quarter_spec, 0.08)),
              (quarter_spec, refine(triangulate(quarter_spec, 0.15))),
              (half_spec, triangulate(half_spec, 0.1))]
     for spec, mesh in cases:
         span = normal_span(boundary_partition(spec))
-        for degree in (1, 2):
-            dofmap = build_dofmap(mesh, degree)
-            for drop in (False, True):
-                Z = _constraint_basis(mesh, span, drop, dofmap)
-                Z0 = _constraint_basis_oracle(mesh, span, drop, dofmap)
-                assert Z.shape == Z0.shape
-                for name in ("indptr", "indices", "data"):
-                    a, b = getattr(Z, name), getattr(Z0, name)
-                    assert a.dtype == b.dtype
-                    assert a.tobytes() == b.tobytes()
+        for drop in (False, True):
+            Z = _constraint_basis(mesh, span, drop)
+            Z0 = _constraint_basis_oracle(mesh, span, drop)
+            assert Z.shape == Z0.shape
+            for name in ("indptr", "indices", "data"):
+                a, b = getattr(Z, name), getattr(Z0, name)
+                assert a.dtype == b.dtype
+                assert a.tobytes() == b.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -263,8 +263,8 @@ def test_collar_exclusion_reported(quarter_solve, disk_solve):
 # ---------------------------------------------------------------------------
 
 def test_csv_header_and_row_shape(quarter_solve):
-    assert DeficitReport.csv_header() == CSV_COLUMNS
-    assert CSV_COLUMNS.count(",") == 16
+    assert DeficitReport.csv_header() == ",".join(CSV_COLUMNS)
+    assert len(CSV_COLUMNS) == 17
     row = quarter_solve.report.csv_row()
     assert row.count(",") == 16
     fields = row.split(",")

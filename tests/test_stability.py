@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -9,7 +9,9 @@ from hypothesis import strategies as hst
 from conetorsion import (DomainError, FourierRadius, make_family,
                          make_sector_domain, run_sweep, fit_exponent,
                          fit_exponent_xy, verify_theorems)
-from conetorsion.stability import run_pipeline, sweep_csv_lines, write_sweep_csv
+from conetorsion.poincare import theorem_constant
+from conetorsion.stability import (TheoremVerdict, run_pipeline, sweep_csv_lines,
+                                   write_sweep_csv)
 
 
 # ---------------------------------------------------------------------------
@@ -157,11 +159,10 @@ def test_rho_ratio_bounded(disk_sweep):
     assert row.passed and row.lhs <= 1.5
 
 
-def _with_report(result, i, **changes):
-    """``result`` with row i's ``report`` or ``report_alt`` fields replaced."""
+def _with_report(result, i, **fields):
+    """``result`` with row i's ``report`` fields replaced."""
     rows = list(result.rows)
-    rows[i] = replace(rows[i], **{name: replace(getattr(rows[i], name), **fields)
-                                  for name, fields in changes.items()})
+    rows[i] = replace(rows[i], report=replace(rows[i].report, **fields))
     return replace(result, rows=rows)
 
 
@@ -176,8 +177,8 @@ def test_each_verdict_kind_can_fail(disk_sweep, kind):
         ratios = [r.report.rho_gap / r.report.deficit_1 if r.eps > 0 else 0.0
                   for r in disk_sweep.rows]
         i = int(np.argmax(ratios))      # doubling the largest ratio: max/min >= 2
-        bad = _with_report(disk_sweep, i, report={
-            "rho_gap": 2 * disk_sweep.rows[i].report.rho_gap})
+        bad = _with_report(disk_sweep, i,
+                           rho_gap=2 * disk_sweep.rows[i].report.rho_gap)
         eps = 0.0                       # one verdict over the whole sweep
     else:
         i = len(disk_sweep.rows) - 1
@@ -187,15 +188,84 @@ def test_each_verdict_kind_can_fail(disk_sweep, kind):
                    if v.theorem == kind and v.eps == eps)
         extras = lambda key: {"extras": {**row.report.extras, key: 2 * rhs}}
         bad = _with_report(disk_sweep, i, **{
-            "lipschitz_pseudodistance": {"report": {"pseudodistance": 2 * rhs}},
-            "lipschitz_alternative_center": {"report_alt": {"pseudodistance": 2 * rhs}},
-            "classical_depth_bound": {"report": extras("max_minus_u")},
-            "classical_gradient_bound": {"report": extras("max_grad")},
+            "lipschitz_pseudodistance": {"pseudodistance": 2 * rhs},
+            "lipschitz_alternative_center": {"pseudodistance_free": 2 * rhs},
+            "classical_depth_bound": extras("max_minus_u"),
+            "classical_gradient_bound": extras("max_grad"),
         }[kind])
     failed = [v for v in verify_theorems(bad) if v.passed is False]
     assert [(v.theorem, v.eps) for v in failed] == [(kind, eps)]
     assert failed[0].margin < 0
     assert all(v.passed is not False for v in verify_theorems(disk_sweep))
+
+
+def _two_report_verdicts_oracle(result, reports, reports_alt):
+    """The earlier verdicts: a second report per row at the free center."""
+    verdicts = []
+    mu_only = 1.0 / result.mu.value
+    for row, rep, ra in zip(result.rows, reports, reports_alt):
+        if rep.C_bound is not None:
+            rhs = rep.C_bound * rep.deficit_2
+            verdicts.append(TheoremVerdict(
+                "lipschitz_pseudodistance", row.eps, rep.pseudodistance, rhs,
+                rhs - rep.pseudodistance, rep.pseudodistance <= rhs))
+        if ra.m > 0:
+            c_alt = theorem_constant(ra.m, mu_only)
+            rhs = c_alt * ra.deficit_2
+            verdicts.append(TheoremVerdict(
+                "lipschitz_alternative_center", row.eps, ra.pseudodistance, rhs,
+                rhs - ra.pseudodistance, ra.pseudodistance <= rhs))
+        if result.k == 0:
+            d = rep.extras.get("diameter", float("nan"))
+            re_ = rep.extras.get("r_e", float("nan"))
+            depth = rep.extras.get("max_minus_u", float("nan"))
+            gmax = rep.extras.get("max_grad", float("nan"))
+            verdicts.append(TheoremVerdict(
+                "classical_depth_bound", row.eps, depth, d**2 / 2,
+                d**2 / 2 - depth, bool(depth <= d**2 / 2)))
+            if math.isfinite(re_):
+                bound = 1.5 * d * (d + re_) / re_
+                verdicts.append(TheoremVerdict(
+                    "classical_gradient_bound", row.eps, gmax, bound,
+                    bound - gmax, bool(gmax <= bound)))
+            else:
+                verdicts.append(TheoremVerdict(
+                    "classical_gradient_bound", row.eps, gmax, float("nan"),
+                    float("nan"), None, "non-convex member: no exterior radius"))
+    ratios = [r.rho_gap / r.deficit_1 for row, r in zip(result.rows, reports)
+              if row.eps > 0 and r.deficit_1 > 0]
+    if ratios:
+        spread = max(ratios) / min(ratios)
+        growth_ok = all(ratios[i] <= 1.5 * ratios[i + 1]
+                        for i in range(len(ratios) - 1))
+        verdicts.append(TheoremVerdict(
+            "rho_gap_ratio_bounded", 0.0, spread, 1.5, 1.5 - spread,
+            bool(spread <= 1.5 and growth_ok), f"max/min={spread:.3f}"))
+    return verdicts
+
+
+@pytest.mark.parametrize("family", ["disk", "quarter4"])
+def test_verdicts_match_the_two_report_oracle(family, disk_spec, quarter_spec):
+    """One report per member gives the verdicts of the earlier two reports."""
+    from conetorsion import alternative_center, deficits
+    base, mode = {"disk": (disk_spec, 3), "quarter4": (quarter_spec, 4)}[family]
+    fam = make_family(base, mode, [0.02, 0.04, 0.08])
+    result = run_sweep(fam, 0.08, 2, label=family)
+    reports, reports_alt = [], []
+    for (_, spec), row in zip(fam.members, result.rows):
+        res = run_pipeline(spec, 0.08, 2, lam=result.lam,
+                           domain_id=row.report.domain_id)
+        assert res.report.csv_row() == row.report.csv_row()
+        ra = deficits(res.field, alternative_center(res.field),
+                      lambda_21=result.lam, domain_id=row.report.domain_id)
+        assert row.report.pseudodistance_free == ra.pseudodistance
+        reports.append(row.report)
+        reports_alt.append(ra)
+    new = [astuple(v) for v in verify_theorems(result)]
+    old = [astuple(v) for v in _two_report_verdicts_oracle(result, reports,
+                                                           reports_alt)]
+    assert any(v[0] == "lipschitz_alternative_center" for v in new)
+    assert repr(new) == repr(old)
 
 
 # ---------------------------------------------------------------------------
