@@ -82,6 +82,16 @@ def _bool(text: str) -> bool:
     raise ConfigError(f"expected a boolean, got {text!r}")
 
 
+def _floats(text: str) -> tuple:
+    return tuple(float(w) for w in text.split())
+
+
+def _points(text: str) -> list:
+    """``t,r t,r ...`` as (t, r) pairs."""
+    pairs = [w.split(",") for w in text.split()]
+    return [(float(t), float(r)) for t, r in pairs]
+
+
 def load_config(path: str) -> RunConfig:
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
@@ -101,54 +111,46 @@ def load_config(path: str) -> RunConfig:
     dom = parser["domain"]
     if "angle" not in dom or "radius" not in dom:
         raise ConfigError("[domain] needs 'angle' and 'radius'")
-    angle = parse_angle(dom["angle"])
+
+    def get(section, key, convert, default=None):
+        """``[section] key`` through ``convert``, or ``default`` when absent.
+
+        Every value is converted here, so a malformed one is a ConfigError
+        that names its section and key.
+        """
+        if section not in parser or key not in parser[section]:
+            return default
+        text = parser[section][key]
+        try:
+            return convert(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ConfigError(f"[{section}] {key} = {text.strip()!r}: {exc}") from exc
+
+    angle = get("domain", "angle", parse_angle)
     points = None
-    if dom.get("radius", "").strip().lower().startswith("table"):
+    if dom["radius"].strip().lower().startswith("table"):
         if "radius_points" not in dom:
             raise ConfigError("table radius needs 'radius_points'")
-        points = []
-        for w in dom["radius_points"].split():
-            t_s, r_s = w.split(",")
-            points.append((float(t_s), float(r_s)))
-    radius = parse_radius_spec(dom["radius"], points)
-    samples = int(dom.get("samples", "256"))
-    spec = make_sector_domain(angle, radius, samples)
+        points = get("domain", "radius_points", _points)
+    radius = get("domain", "radius", lambda text: parse_radius_spec(text, points))
+    spec = make_sector_domain(angle, radius, get("domain", "samples", int, 256))
 
-    mesh_sec = parser["mesh"] if "mesh" in parser else {}
-    h_target = float(mesh_sec.get("h_target", "0.05"))
-    if int(mesh_sec.get("degree", "2")) != 2:
+    if get("mesh", "degree", int, 2) != 2:
         raise ConfigError("degree must be 2 (the flux and the element Hessians "
                           "need a degree-2 field)")
-    refinements = int(mesh_sec.get("refinements", "3"))
-
-    sweep_mode, sweep_eps = None, ()
-    if "sweep" in parser:
-        sw = parser["sweep"]
-        if "mode" in sw:
-            sweep_mode = int(sw["mode"])
-        eps_text = sw.get("epsilons", "").split()
-        sweep_eps = tuple(float(e) for e in eps_text)
-
-    alphas, kinds, plevels = (0.0,), ("mu",), 2
-    if "poincare" in parser:
-        po = parser["poincare"]
-        if "alphas" in po:
-            alphas = tuple(float(a) for a in po["alphas"].split())
-        if "kinds" in po:
-            kinds = tuple(po["kinds"].split())
-            for kind in kinds:
-                if kind not in ("mu", "eta"):
-                    raise ConfigError(f"unknown poincare kind {kind!r}")
-        if "levels" in po:
-            plevels = int(po["levels"])
-
-    out = parser["output"] if "output" in parser else {}
-    prefix = out.get("prefix", "run")
-    export_mesh = _bool(out.get("export_mesh", "no"))
-    export_solution = _bool(out.get("export_solution", "no"))
-    return RunConfig(spec, h_target, refinements, sweep_mode, sweep_eps,
-                     alphas, kinds, plevels, prefix, export_mesh,
-                     export_solution, dom["radius"].strip())
+    kinds = get("poincare", "kinds", lambda text: tuple(text.split()), ("mu",))
+    for kind in kinds:
+        if kind not in ("mu", "eta"):
+            raise ConfigError(f"unknown poincare kind {kind!r}")
+    return RunConfig(spec, get("mesh", "h_target", float, 0.05),
+                     get("mesh", "refinements", int, 3),
+                     get("sweep", "mode", int), get("sweep", "epsilons", _floats, ()),
+                     get("poincare", "alphas", _floats, (0.0,)), kinds,
+                     get("poincare", "levels", int, 2),
+                     get("output", "prefix", str, "run"),
+                     get("output", "export_mesh", _bool, False),
+                     get("output", "export_solution", _bool, False),
+                     dom["radius"].strip())
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
+from scipy.spatial.distance import pdist
 
 TWO_PI = 2.0 * math.pi
 _FULL_PLANE_TOL = 1e-12
@@ -42,26 +43,6 @@ class RadiusFunction:
         t = np.asarray(t, dtype=float)
         h = 1e-5
         return (self(t + h) - 2 * self(t) + self(t - h)) / h**2
-
-    def describe(self) -> str:
-        return self.__class__.__name__
-
-
-class ConstantRadius(RadiusFunction):
-    def __init__(self, value: float):
-        self.value = float(value)
-
-    def __call__(self, t):
-        return np.full_like(np.asarray(t, dtype=float), self.value)
-
-    def deriv(self, t):
-        return np.zeros_like(np.asarray(t, dtype=float))
-
-    def deriv2(self, t):
-        return np.zeros_like(np.asarray(t, dtype=float))
-
-    def describe(self):
-        return f"constant {self.value:g}"
 
 
 class FourierRadius(RadiusFunction):
@@ -92,29 +73,25 @@ class FourierRadius(RadiusFunction):
             d = d - a * m * m * np.cos(m * t)
         return d
 
-    def describe(self):
-        parts = " ".join(f"{m},{a:g}" for m, a in self.terms)
-        return f"fourier {self.a0:g} {parts}".strip()
+
+class ConstantRadius(FourierRadius):
+    """r(t) = value: a Fourier radius with no terms."""
+
+    def __init__(self, value: float):
+        super().__init__(value)
 
 
 class TableRadius(RadiusFunction):
     """Cubic-spline interpolation of (t, r) samples."""
 
-    def __init__(self, ts, rs, periodic: bool = False):
+    def __init__(self, ts, rs):
         ts = np.asarray(ts, dtype=float)
         rs = np.asarray(rs, dtype=float)
         if ts.ndim != 1 or ts.size < 2 or ts.shape != rs.shape:
             raise DomainError("radius table needs matching 1-d t and r arrays")
         if np.any(np.diff(ts) <= 0):
             raise DomainError("radius table angles must be strictly increasing (no loops)")
-        if periodic and abs(rs[0] - rs[-1]) > 1e-9 * max(1.0, abs(rs[0])):
-            raise DomainError("periodic radius table must close: r(first) == r(last)")
-        bc = "periodic" if periodic else "not-a-knot"
-        if periodic:
-            rs = rs.copy()
-            rs[-1] = rs[0]
-        self._spline = CubicSpline(ts, rs, bc_type=bc)
-        self.ts, self.rs = ts, rs
+        self._spline = CubicSpline(ts, rs)
 
     def __call__(self, t):
         return self._spline(np.asarray(t, dtype=float))
@@ -124,9 +101,6 @@ class TableRadius(RadiusFunction):
 
     def deriv2(self, t):
         return self._spline(np.asarray(t, dtype=float), 2)
-
-    def describe(self):
-        return f"table[{self.ts.size}]"
 
 
 class ScaledRadius(RadiusFunction):
@@ -153,14 +127,10 @@ class ScaledRadius(RadiusFunction):
         return (self.base.deriv2(t) * f + 2 * self.base.deriv(t) * df
                 + self.base(t) * d2f)
 
-    def describe(self):
-        return f"{self.base.describe()} *(1+{self.eps:g} cos {self.mode}t)"
-
 
 class CallableRadius(RadiusFunction):
-    def __init__(self, fn, dfn=None, d2fn=None, label="callable"):
+    def __init__(self, fn, dfn=None, d2fn=None):
         self._fn, self._dfn, self._d2fn = fn, dfn, d2fn
-        self._label = label
 
     def __call__(self, t):
         return np.asarray(self._fn(np.asarray(t, dtype=float)), dtype=float)
@@ -174,9 +144,6 @@ class CallableRadius(RadiusFunction):
         if self._d2fn is None:
             return super().deriv2(t)
         return np.asarray(self._d2fn(np.asarray(t, dtype=float)), dtype=float)
-
-    def describe(self):
-        return self._label
 
 
 def offset_disk_radius(a: float) -> RadiusFunction:
@@ -197,7 +164,14 @@ def offset_disk_radius(a: float) -> RadiusFunction:
         s = np.sqrt(1.0 - (a * np.sin(t)) ** 2)
         return -a * np.sin(t) - a * a * np.sin(t) * np.cos(t) / s
 
-    return CallableRadius(r, dr, label=f"offset disk a={a:g}")
+    return CallableRadius(r, dr)
+
+
+def _number(word: str) -> float:
+    try:
+        return float(word)
+    except ValueError as exc:
+        raise DomainError(f"radius value {word!r} is not a number") from exc
 
 
 def parse_radius_spec(text: str, points=None) -> RadiusFunction:
@@ -213,11 +187,11 @@ def parse_radius_spec(text: str, points=None) -> RadiusFunction:
     if kind == "constant":
         if len(words) != 2:
             raise DomainError("constant radius spec needs exactly one value")
-        return ConstantRadius(float(words[1]))
+        return ConstantRadius(_number(words[1]))
     if kind == "fourier":
         if len(words) < 2:
             raise DomainError("fourier radius spec needs a0")
-        a0 = float(words[1])
+        a0 = _number(words[1])
         terms = []
         for w in words[2:]:
             try:
@@ -301,32 +275,20 @@ class DomainSpec:
         """Rotate the whole configuration; only meaningful without legs."""
         if not self.cone.is_full_plane:
             raise DomainError("rigid rotation is only representable for beta = 2*pi")
+        def shifted(fn):
+            return lambda t: fn(np.mod(t - phi, TWO_PI))
+
         base = self.radius_fn
-
-        def r(t):
-            return base(np.mod(t - phi, TWO_PI))
-
-        def dr(t):
-            return base.deriv(np.mod(t - phi, TWO_PI))
-
-        def d2r(t):
-            return base.deriv2(np.mod(t - phi, TWO_PI))
-
-        fn = CallableRadius(r, dr, d2r, label=f"{base.describe()} rot {phi:g}")
+        fn = CallableRadius(shifted(base), shifted(base.deriv), shifted(base.deriv2))
         return DomainSpec(self.cone, fn, self.sample_count)
 
 
 @dataclass(frozen=True)
 class Polyline:
-    """Directed segment chain with per-segment outward unit normals."""
+    """Directed segment chain; closed (last point joined to the first) when wrap."""
 
     points: np.ndarray      # (n+1, 2), or (n, 2) closed when wrap=True
-    normals: np.ndarray     # (n, 2)
     wrap: bool = False
-
-    @property
-    def n_segments(self) -> int:
-        return len(self.points) if self.wrap else len(self.points) - 1
 
     def segments(self):
         a = self.points
@@ -334,48 +296,31 @@ class Polyline:
         return (a if self.wrap else a[:-1]), b
 
     @property
-    def lengths(self) -> np.ndarray:
+    def normals(self) -> np.ndarray:
+        """(n, 2) outward unit normals: the interior is left of each segment."""
         a, b = self.segments()
-        return np.linalg.norm(b - a, axis=1)
-
-    @property
-    def total_length(self) -> float:
-        return float(np.sum(self.lengths))
+        d = b - a
+        lengths = np.linalg.norm(d, axis=1)
+        return np.stack([d[:, 1], -d[:, 0]], axis=1) / lengths[:, None]
 
 
 @dataclass(frozen=True)
 class BoundaryPartition:
-    """GAMMA0 polyline plus straight GAMMA1 segments, with corner points."""
+    """GAMMA0 polyline plus straight GAMMA1 segments."""
 
     gamma0: Polyline
     gamma1_segments: np.ndarray   # (k, 2, 2): [start, end] per leg, CCW order
     gamma1_normals: np.ndarray    # (k, 2)
-    corners: np.ndarray           # (k0, 2) endpoints of GAMMA0
-
-    @property
-    def has_gamma1(self) -> bool:
-        return len(self.gamma1_segments) > 0
 
     def all_segments(self):
         """(start, end, normal) arrays over GAMMA0 then GAMMA1; for distances."""
         a0, b0 = self.gamma0.segments()
-        if not self.has_gamma1:
+        if len(self.gamma1_segments) == 0:
             return a0, b0, self.gamma0.normals
         a = np.vstack([a0, self.gamma1_segments[:, 0]])
         b = np.vstack([b0, self.gamma1_segments[:, 1]])
         nrm = np.vstack([self.gamma0.normals, self.gamma1_normals])
         return a, b, nrm
-
-    def rotated(self, phi: float) -> "BoundaryPartition":
-        c, s = math.cos(phi), math.sin(phi)
-        R = np.array([[c, -s], [s, c]])
-        rot = lambda arr: arr @ R.T
-        return BoundaryPartition(
-            Polyline(rot(self.gamma0.points), rot(self.gamma0.normals), self.gamma0.wrap),
-            self.gamma1_segments @ R.T,
-            rot(self.gamma1_normals) if len(self.gamma1_normals) else self.gamma1_normals,
-            rot(self.corners) if len(self.corners) else self.corners,
-        )
 
 
 @dataclass(frozen=True)
@@ -420,23 +365,11 @@ def make_sector_domain(beta: float, radius_fn, samples: int = 256) -> DomainSpec
 
 def boundary_partition(spec: DomainSpec) -> BoundaryPartition:
     """GAMMA0 as a sampled polyline and GAMMA1 as the straight legs."""
-    ts = spec.gamma0_angles()
-    pts = spec.gamma0_point(ts)
-    wrap = spec.cone.is_full_plane
-    a = pts
-    b = np.roll(pts, -1, axis=0) if wrap else pts[1:]
-    if not wrap:
-        a = pts[:-1]
-    d = b - a
-    lengths = np.linalg.norm(d, axis=1)
-    # interior is to the left of the CCW-directed segments
-    normals = np.stack([d[:, 1], -d[:, 0]], axis=1) / lengths[:, None]
-    gamma0 = Polyline(pts, normals, wrap=wrap)
-
-    if wrap:
+    gamma0 = Polyline(spec.gamma0_point(spec.gamma0_angles()),
+                      wrap=spec.cone.is_full_plane)
+    if gamma0.wrap:
         g1_segs = np.zeros((0, 2, 2))
         g1_norms = np.zeros((0, 2))
-        corners = np.zeros((0, 2))
     else:
         beta = spec.beta
         p_start = spec.gamma0_point(0.0)
@@ -448,8 +381,7 @@ def boundary_partition(spec: DomainSpec) -> BoundaryPartition:
             [0.0, -1.0],
             [-math.sin(beta), math.cos(beta)],
         ])
-        corners = np.array([p_start, p_end])
-    return BoundaryPartition(gamma0, g1_segs, g1_norms, corners)
+    return BoundaryPartition(gamma0, g1_segs, g1_norms)
 
 
 def normal_span(partition: BoundaryPartition, tol: float = 1e-10) -> SpanInfo:
@@ -547,18 +479,12 @@ def exterior_sphere_radius(spec: DomainSpec) -> float:
     return float(1.0 / np.max(kappa))
 
 
+@dataclass(frozen=True)
 class InteriorSphere:
     """Sampled lower bound for the interior touching-ball radius."""
 
-    def __init__(self, value: float, ok: bool):
-        self.value = float(value)
-        self.ok = bool(ok)
-
-    def __float__(self):
-        return self.value
-
-    def __repr__(self):
-        return f"InteriorSphere({self.value:.6g}, ok={self.ok})"
+    value: float
+    ok: bool
 
 
 def _inside_closure(spec: DomainSpec, pts, tol: float) -> np.ndarray:
@@ -593,7 +519,7 @@ def interior_sphere_radius(spec: DomainSpec, samples: int = 256) -> InteriorSphe
     nrm = np.stack([tang[:, 1], -tang[:, 0]], axis=1)
 
     rho_hi = float(np.max(r))
-    geom_tol = 2.0 * rho_hi * (spec.beta / part.gamma0.n_segments) ** 2 + 1e-12
+    geom_tol = 2.0 * rho_hi * (spec.beta / len(a0)) ** 2 + 1e-12
 
     def admissible(rho: np.ndarray) -> np.ndarray:
         """Per sample: the ball of radius rho[i] tangent at pts[i] is legal."""
@@ -631,11 +557,9 @@ def gamma0_length(spec: DomainSpec) -> float:
 
 
 def domain_diameter(spec: DomainSpec) -> float:
-    ts = spec.gamma0_angles(max(spec.sample_count, 512))
-    pts = spec.gamma0_point(ts)
+    """Largest distance between GAMMA0 samples and, on a cone, the vertex."""
+    pts = spec.gamma0_point(spec.gamma0_angles(max(spec.sample_count, 512)))
     if not spec.cone.is_full_plane:
         pts = np.vstack([pts, [[0.0, 0.0]]])
-    # boundary extremes suffice; O(n^2) on <= ~1k points
-    diff = pts[:, None, :] - pts[None, :, :]
-    return float(np.sqrt((diff**2).sum(axis=2)).max())
+    return float(pdist(pts).max())
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .geometry import DomainSpec, polyline_distance
+from .geometry import DomainSpec, domain_diameter, polyline_distance
 from .quadrature import TRI_POINTS
 
 GAMMA0 = 0
@@ -213,8 +213,6 @@ def triangulate(spec: DomainSpec, h_target: float) -> TaggedMesh:
     The ring count is increased deterministically until the target is met;
     boundary vertices land on the analytic boundary by construction.
     """
-    from .geometry import domain_diameter
-
     if h_target <= 0:
         raise MeshError("h_target must be positive")
     if h_target >= domain_diameter(spec):

@@ -17,7 +17,8 @@ import numpy as np
 
 from .fem import (DegreeError, FemField, _boundary_edge_elements, bary_gradients,
                   interpolate)
-from .geometry import DomainSpec, SpanInfo, boundary_partition, segment_extremes
+from .geometry import (DomainSpec, SpanInfo, boundary_partition, segment_extremes,
+                       serrin_radius)
 from .mesher import GAMMA0, GAMMA1, TaggedMesh
 from .quadrature import TRI_POINTS, TRI_WEIGHTS, edge_gauss
 
@@ -241,7 +242,7 @@ def identity_residual(u: FemField, center: Center | np.ndarray,
     flux = normal_derivative(u, 3)
     tr0, unu = flux.trace, flux.values
     if R is None:
-        R = 2.0 * float(np.sum(u._areas)) / tr0.total_length
+        R = serrin_radius(float(np.sum(u._areas)), tr0.total_length)
     xnu = np.einsum("egx,ex->eg", tr0.points - z[None, None, :], tr0.normals)
     rhs = 0.5 * float(np.sum(tr0.weights * (unu**2 - R**2) * (unu - xnu)))
 
@@ -326,7 +327,7 @@ def deficits(u: FemField, center: Center | np.ndarray, *,
     mesh = u.mesh
     flux = normal_derivative(u, 3)
     tr0, unu, w = flux.trace, flux.values, flux.weights
-    R = 2.0 * float(np.sum(u._areas)) / tr0.total_length
+    R = serrin_radius(float(np.sum(u._areas)), tr0.total_length)
     m = flux.min_value()
 
     deficit_1 = float(np.sqrt(np.sum(w * (unu - R) ** 2)))

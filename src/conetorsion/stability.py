@@ -158,30 +158,25 @@ def run_sweep(family: Family, h_target: float, degree: int = 2, *,
     mesh0 = triangulate(base, h_target)
     lam, mu, eta = estimate_lambda(mesh0, part0, span0)
 
-    def one(eps_spec):
-        eps, spec = eps_spec
-        dom_id = f"{label}-eps{eps:g}"
-        res = run_pipeline(spec, h_target, degree, lam=lam,
-                           domain_id=dom_id)
-        return SweepRow(eps, res.report)
+    def one(member):
+        """(row, None) for a solved member, (None, (eps, reason)) for a failed one."""
+        eps, spec = member
+        try:
+            res = run_pipeline(spec, h_target, degree, lam=lam,
+                               domain_id=f"{label}-eps{eps:g}")
+        except Exception as exc:
+            return None, (eps, repr(exc))
+        return SweepRow(eps, res.report), None
 
-    rows: list = []
-    failures: list = []
+    # the serial path stays off the pool: a one-worker pool costs peak RSS
     if threads <= 1:
-        for member in family.members:
-            try:
-                rows.append(one(member))
-            except Exception as exc:
-                failures.append((member[0], repr(exc)))
+        outcomes = [one(member) for member in family.members]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            futs = {pool.submit(one, member): member for member in family.members}
-            for fut, member in futs.items():
-                try:
-                    rows.append(fut.result())
-                except Exception as exc:
-                    failures.append((member[0], repr(exc)))
-    rows.sort(key=lambda r: r.eps)
+            outcomes = list(pool.map(one, family.members))
+    rows = sorted((row for row, _ in outcomes if row is not None),
+                  key=lambda r: r.eps)
+    failures = [fail for _, fail in outcomes if fail is not None]
 
     result = SweepResult(rows, lam, mu, eta, span0.k, h_target, degree, label,
                          failures)

@@ -2,23 +2,28 @@
 
 Static checks only (no demo runs, no solves): every ``conetorsion`` import
 in ``demos/*.py`` resolves, every ``bench/tracer.py`` span names a function
-whose signature has the arguments its counter reads, and every sweep column
-``bench/workloads.py`` reports is one that ``SweepRow.column`` answers.
+whose signature has the arguments its counter reads, every sweep column
+``bench/workloads.py`` reports is one that ``SweepRow.column`` answers, and
+every config key the loader accepts is documented in ``README.md``.
 """
 
 import ast
 import importlib
 import inspect
+import re
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conetorsion.cli import _KNOWN_KEYS
+
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 TRACER = ROOT / "bench" / "tracer.py"
 WORKLOADS = ROOT / "bench" / "workloads.py"
+README = ROOT / "README.md"
 
 
 def _conetorsion_imports(path):
@@ -88,3 +93,9 @@ def test_bench_row_column_resolves(name):
     values = {f.name: 0.0 for f in fields(DeficitReport) if f.name != "extras"}
     report = DeficitReport(**{**values, "z": np.zeros(2)})
     assert isinstance(SweepRow(0.0, report).column(name), float)
+
+
+@pytest.mark.parametrize("section,key", sorted(
+    (section, key) for section, keys in _KNOWN_KEYS.items() for key in keys))
+def test_readme_documents_config_key(section, key):
+    assert re.search(rf"(?<!\w){key} =", README.read_text()), f"[{section}] {key}"

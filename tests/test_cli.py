@@ -141,6 +141,28 @@ def test_degree_one_is_validation_error(tmp_path, capsys):
     assert "degree must be 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("good,bad,key", [
+    ("angle = pi/2", "angle = abc", "angle"),
+    ("angle = pi/2", "angle = pi/0", "angle"),
+    ("samples = 128", "samples = many", "samples"),
+    ("radius = constant 1.0", "radius = constant abc", "radius"),
+    ("radius = constant 1.0", "radius = fourier x", "radius"),
+    ("radius = constant 1.0", "radius = table\n    radius_points = 0,1 1",
+     "radius_points"),
+    ("h_target = 0.1", "h_target = abc", "h_target"),
+], ids=["angle", "angle_pi_over_0", "samples", "constant", "fourier",
+        "radius_points", "h_target"])
+def test_malformed_value_is_validation_error(tmp_path, capsys, good, bad, key):
+    body = QUARTER.replace(good, bad)
+    code = main(["solve", "--config", write_config(tmp_path, body),
+                 "--out", str(tmp_path)])
+    assert code == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if line.startswith("error: ")]
+    assert len(errors) == 1 and f"{key} = " in errors[0]
+
+
 def test_exports_mesh_and_solution(tmp_path):
     body = QUARTER + "    export_mesh = yes\n    export_solution = yes\n"
     code = main(["solve", "--config", write_config(tmp_path, body),

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,8 +10,9 @@ from scipy.integrate import quad
 from conetorsion import (ConstantRadius, DomainError, FourierRadius,
                          TableRadius, boundary_partition, domain_area,
                          domain_diameter, gamma0_length, interior_sphere_radius,
-                         make_sector_domain, normal_span, parse_radius_spec,
-                         polar_curvature, rho_extremes, serrin_radius)
+                         make_sector_domain, normal_span, offset_disk_radius,
+                         parse_radius_spec, polar_curvature, rho_extremes,
+                         serrin_radius)
 from conetorsion.geometry import _DISTANCE_BLOCK, polyline_distance
 
 # frozen quadrature oracle values for r(t) = 1 + 0.05 cos 3t
@@ -62,6 +64,83 @@ def test_parse_radius_spec_forms():
         parse_radius_spec("spline 1.0")
     with pytest.raises(DomainError):
         parse_radius_spec("table")   # missing points
+    for bad in ("constant abc", "fourier x", "fourier 1.0 3,x"):
+        with pytest.raises(DomainError):
+            parse_radius_spec(bad)
+
+
+# ---------------------------------------------------------------------------
+# oracles: the earlier constant radius, GAMMA0 normals and diameter
+# ---------------------------------------------------------------------------
+
+class _ConstantRadiusOracle:
+    def __init__(self, value):
+        self.value = float(value)
+
+    def __call__(self, t):
+        return np.full_like(np.asarray(t, dtype=float), self.value)
+
+    def deriv(self, t):
+        return np.zeros_like(np.asarray(t, dtype=float))
+
+    def deriv2(self, t):
+        return np.zeros_like(np.asarray(t, dtype=float))
+
+
+def _gamma0_normals_oracle(spec):
+    pts = spec.gamma0_point(spec.gamma0_angles())
+    wrap = spec.cone.is_full_plane
+    a = pts
+    b = np.roll(pts, -1, axis=0) if wrap else pts[1:]
+    if not wrap:
+        a = pts[:-1]
+    d = b - a
+    lengths = np.linalg.norm(d, axis=1)
+    return np.stack([d[:, 1], -d[:, 0]], axis=1) / lengths[:, None]
+
+
+def _domain_diameter_oracle(spec):
+    ts = spec.gamma0_angles(max(spec.sample_count, 512))
+    pts = spec.gamma0_point(ts)
+    if not spec.cone.is_full_plane:
+        pts = np.vstack([pts, [[0.0, 0.0]]])
+    diff = pts[:, None, :] - pts[None, :, :]
+    return float(np.sqrt((diff**2).sum(axis=2)).max())
+
+
+ORACLE_DOMAINS = {
+    "quarter": lambda: make_sector_domain(math.pi / 2, ConstantRadius(1.0), 256),
+    "disk": lambda: make_sector_domain(2 * math.pi, ConstantRadius(1.0), 512),
+    "half": lambda: make_sector_domain(math.pi, ConstantRadius(1.0), 256),
+    "disk3": lambda: make_sector_domain(
+        2 * math.pi, FourierRadius(1.0, [(3, 0.05)]), 512),
+    "quarter4": lambda: make_sector_domain(
+        math.pi / 2, FourierRadius(1.0, [(4, 0.05)]), 256),
+    "disk8_0.6": lambda: make_sector_domain(
+        2 * math.pi, FourierRadius(1.0, [(8, 0.6)]), 512),
+    "beta0.1_offset": lambda: make_sector_domain(0.1, offset_disk_radius(0.3), 64),
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_DOMAINS)
+def test_diameter_and_normals_match_oracles(name):
+    spec = ORACLE_DOMAINS[name]()
+    assert domain_diameter(spec) == _domain_diameter_oracle(spec)
+    part = boundary_partition(spec)
+    assert np.array_equal(part.gamma0.normals, _gamma0_normals_oracle(spec))
+    _, _, nrm = part.all_segments()
+    assert np.array_equal(nrm[:len(part.gamma0.normals)], part.gamma0.normals)
+
+
+@pytest.mark.parametrize("t", [0.3, np.linspace(-1.0, 7.0, 11),
+                               np.arange(6.0).reshape(2, 3), [0, 1, 2]])
+@pytest.mark.parametrize("value", [1.0, 2.5, 0.731])
+def test_constant_radius_matches_oracle(value, t):
+    got, want = ConstantRadius(value), _ConstantRadiusOracle(value)
+    for method in ("__call__", "deriv", "deriv2"):
+        a, b = getattr(got, method)(t), getattr(want, method)(t)
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert np.array_equal(a, b), method
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +206,10 @@ def test_normal_span_ranks(quarter_spec, half_spec, disk_spec):
 def test_normal_span_rank_rotation_invariant(phi):
     spec = make_sector_domain(math.pi / 2, ConstantRadius(1.0), 64)
     part = boundary_partition(spec)
-    assert normal_span(part.rotated(phi)).k == normal_span(part).k
+    c, s = math.cos(phi), math.sin(phi)
+    rotation = np.array([[c, -s], [s, c]])
+    turned = replace(part, gamma1_normals=part.gamma1_normals @ rotation.T)
+    assert normal_span(turned).k == normal_span(part).k
 
 
 # ---------------------------------------------------------------------------
