@@ -47,8 +47,8 @@ for v in verify_theorems(result):
 csv_path = os.path.join(out_dir, "disk3_sweep.csv")
 svg_path = os.path.join(out_dir, "disk3_sweep.svg")
 write_sweep_csv(result, fits, csv_path)
-x = result.column("deficit_2", include_base=False)
-y = result.column("pseudodistance", include_base=False)
+x = result.column("deficit_2")
+y = result.column("pseudodistance")
 write_scatter_svg(svg_path, x, y, fit=(fits[0].slope, fits[0].intercept),
                   x_label="deficit_2", y_label="pseudodistance",
                   title=f"slope {fits[0].slope:.3f}")

@@ -14,7 +14,7 @@ import configparser
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import fem, poincare, quantities, stability, svgplot
 from .geometry import (ConstantRadius, DomainError, DomainSpec,
@@ -70,7 +70,6 @@ class RunConfig:
     prefix: str
     export_mesh: bool
     export_solution: bool
-    radius_text: str = ""
 
 
 def _bool(text: str) -> bool:
@@ -84,6 +83,22 @@ def _bool(text: str) -> bool:
 
 def _floats(text: str) -> tuple:
     return tuple(float(w) for w in text.split())
+
+
+def _alphas(text: str) -> tuple:
+    """Poincare weight exponents; only 0, 1/2 and 1 are implemented."""
+    alphas = _floats(text)
+    if any(a not in (0.0, 0.5, 1.0) for a in alphas):
+        raise ValueError("each alpha must be 0, 0.5 or 1")
+    return alphas
+
+
+def _count(text: str) -> int:
+    """A level count, at least 1."""
+    n = int(text)
+    if n < 1:
+        raise ValueError("must be at least 1")
+    return n
 
 
 def _points(text: str) -> list:
@@ -143,14 +158,13 @@ def load_config(path: str) -> RunConfig:
         if kind not in ("mu", "eta"):
             raise ConfigError(f"unknown poincare kind {kind!r}")
     return RunConfig(spec, get("mesh", "h_target", float, 0.05),
-                     get("mesh", "refinements", int, 3),
+                     get("mesh", "refinements", _count, 3),
                      get("sweep", "mode", int), get("sweep", "epsilons", _floats, ()),
-                     get("poincare", "alphas", _floats, (0.0,)), kinds,
-                     get("poincare", "levels", int, 2),
+                     get("poincare", "alphas", _alphas, (0.0,)), kinds,
+                     get("poincare", "levels", _count, 2),
                      get("output", "prefix", str, "run"),
                      get("output", "export_mesh", _bool, False),
-                     get("output", "export_solution", _bool, False),
-                     dom["radius"].strip())
+                     get("output", "export_solution", _bool, False))
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +188,7 @@ def cmd_solve(cfg: RunConfig, out_dir: str, require_constant: bool = False) -> i
     _write_lines(os.path.join(out_dir, f"{cfg.prefix}_report.csv"),
                  [DeficitReport.csv_header(), rep.csv_row()])
     if cfg.export_mesh:
-        write_mesh(res.mesh, os.path.join(out_dir, f"{cfg.prefix}_mesh.txt"))
+        write_mesh(res.field.mesh, os.path.join(out_dir, f"{cfg.prefix}_mesh.txt"))
     if cfg.export_solution:
         fem.write_solution(res.field,
                            os.path.join(out_dir, f"{cfg.prefix}_solution.txt"))
@@ -269,8 +283,8 @@ def cmd_sweep(cfg: RunConfig, out_dir: str, threads: int, svg: bool,
     stability.write_sweep_csv(result, fits,
                               os.path.join(out_dir, f"{cfg.prefix}_sweep.csv"))
     if svg:
-        x = result.column("deficit_2", include_base=False)
-        y = result.column("pseudodistance", include_base=False)
+        x = result.column("deficit_2")
+        y = result.column("pseudodistance")
         svgplot.write_scatter_svg(
             os.path.join(out_dir, f"{cfg.prefix}_sweep.svg"), x, y,
             fit=(fits[0].slope, fits[0].intercept) if fits else None,

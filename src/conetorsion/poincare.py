@@ -23,7 +23,7 @@ import scipy.sparse.linalg as spla
 from .fem import (FemField, bary_gradients, build_dofmap, element_stiffness,
                   factor_spd, scatter, shape_values)
 from .geometry import BoundaryPartition, SpanInfo
-from .mesher import GAMMA0, GAMMA1, TaggedMesh, refine
+from .mesher import GAMMA1, TaggedMesh, refine
 from .quadrature import TRI_POINTS, TRI_WEIGHTS
 
 
@@ -35,15 +35,22 @@ class EigenError(RuntimeError):
 class PoincareEstimate:
     kind: str                 # "mu" or "eta"
     alpha: float
-    value: float              # the constant; the inequality uses value**-1
-    level: int
-    history: list
-    converged: bool
+    history: list             # the constant per refinement level, coarsest first
 
-    def csv_row(self, level: int | None = None) -> str:
-        lv = self.level if level is None else level
-        val = self.history[lv] if level is not None else self.value
-        return f"{self.kind},{self.alpha:g},{lv},{val:.12g},{str(self.converged).lower()}"
+    @property
+    def value(self) -> float:
+        """The finest level's constant; the inequality uses value**-1."""
+        return self.history[-1]
+
+    @property
+    def converged(self) -> bool:
+        """The last two levels agree to 2 %."""
+        h = self.history
+        return len(h) >= 2 and abs(h[-1] - h[-2]) <= 0.02 * abs(h[-1])
+
+    def csv_row(self, level: int) -> str:
+        return (f"{self.kind},{self.alpha:g},{level},{self.history[level]:.12g},"
+                f"{str(self.converged).lower()}")
 
 
 # ---------------------------------------------------------------------------
@@ -98,6 +105,20 @@ def _first_positive(vals: np.ndarray) -> float:
     return float(pos[0])
 
 
+def _ladder(kind: str, mesh: TaggedMesh, alpha: float, levels: int,
+            constant) -> PoincareEstimate:
+    """``constant(mesh)`` on ``mesh`` and on each of its ``levels - 1`` refinements."""
+    if alpha not in (0.0, 0.5, 1.0):
+        raise ValueError("alpha must be one of 0, 1/2, 1")
+    if levels < 1:
+        raise ValueError("levels must be at least 1")
+    history = [constant(mesh)]
+    for _ in range(levels - 1):
+        mesh = refine(mesh)
+        history.append(constant(mesh))
+    return PoincareEstimate(kind, alpha, history)
+
+
 # ---------------------------------------------------------------------------
 # mu
 # ---------------------------------------------------------------------------
@@ -111,34 +132,14 @@ def mu_estimate(mesh: TaggedMesh, alpha: float, levels: int = 1,
     (A, M) is the constrained minimum.  ``boundary`` overrides the distance
     polyline (defaults to the mesh boundary).
     """
-    _check_alpha(alpha)
-    history = []
-    current = mesh
-    for lv in range(levels):
-        if boundary is None:
-            seg_a, seg_b = _boundary_segments(current)
-        else:
-            seg_a, seg_b = boundary
-        A, M = _p1_matrices(current, alpha, seg_a, seg_b)
-        vals = _smallest_eigs(A, M)
+    def constant(current: TaggedMesh) -> float:
+        seg_a, seg_b = _boundary_segments(current) if boundary is None else boundary
+        vals = _smallest_eigs(*_p1_matrices(current, alpha, seg_a, seg_b))
         if abs(vals[0]) > 1e-6 * max(1.0, vals[-1]):
             raise EigenError(f"constant mode missing from spectrum: {vals}")
-        history.append(math.sqrt(_first_positive(vals)))
-        if lv + 1 < levels:
-            current = refine(current)
-    return PoincareEstimate("mu", alpha, history[-1], levels - 1, history,
-                            _converged(history))
+        return math.sqrt(_first_positive(vals))
 
-
-def _converged(history) -> bool:
-    if len(history) < 2:
-        return False
-    return abs(history[-1] - history[-2]) <= 0.02 * abs(history[-1])
-
-
-def _check_alpha(alpha: float) -> None:
-    if alpha not in (0.0, 0.5, 1.0):
-        raise ValueError("alpha must be one of 0, 1/2, 1")
+    return _ladder("mu", mesh, alpha, levels, constant)
 
 
 # ---------------------------------------------------------------------------
@@ -194,29 +195,24 @@ def eta_estimate(mesh: TaggedMesh, partition: BoundaryPartition, span: SpanInfo,
     ``drop_constraint`` removes the <v, nu> = 0 nodal conditions (ablation:
     constants become admissible and the smallest eigenvalue collapses to 0).
     """
-    _check_alpha(alpha)
-    history = []
-    current = mesh
     seg_a0, seg_b0 = partition.gamma0.segments()
-    for lv in range(levels):
+
+    def constant(current: TaggedMesh) -> float:
         A, M = _p1_matrices(current, alpha, seg_a0, seg_b0)
         A2 = sp.kron(A, sp.identity(2), format="csr")
         M2 = sp.kron(M, sp.identity(2), format="csr")
         Z = _constraint_basis(current, span, drop_constraint)
         vals = _smallest_eigs(Z.T @ A2 @ Z, Z.T @ M2 @ Z)
         if drop_constraint:
-            history.append(math.sqrt(max(vals[0], 0.0)))
-        else:
-            lam0 = vals[0]
-            if lam0 <= 0:
-                if lam0 < -1e-10 * max(1.0, vals[-1]):
-                    raise EigenError(f"negative leading eigenvalue: {vals}")
-                lam0 = _first_positive(vals)
-            history.append(math.sqrt(lam0))
-        if lv + 1 < levels:
-            current = refine(current)
-    return PoincareEstimate("eta", alpha, history[-1], levels - 1, history,
-                            _converged(history))
+            return math.sqrt(max(vals[0], 0.0))
+        lam0 = vals[0]
+        if lam0 <= 0:
+            if lam0 < -1e-10 * max(1.0, vals[-1]):
+                raise EigenError(f"negative leading eigenvalue: {vals}")
+            lam0 = _first_positive(vals)
+        return math.sqrt(lam0)
+
+    return _ladder("eta", mesh, alpha, levels, constant)
 
 
 # ---------------------------------------------------------------------------
@@ -270,10 +266,6 @@ class GradientPoincareCheck:
     margin: float     # lam*rhs - lhs (>= 0 when the inequality holds)
 
 
-def grad_l2(field: FemField) -> float:
-    return math.sqrt(field.energy())
-
-
 def weighted_hessian_l2(field: FemField, alpha: float,
                         partition: BoundaryPartition) -> float:
     """|| d(., GAMMA0)^alpha D^2 field ||_L2 with element-wise Hessians."""
@@ -288,6 +280,6 @@ def mixed_gradient_poincare_check(h: FemField, span: SpanInfo, mu, eta,
                                   partition: BoundaryPartition) -> GradientPoincareCheck:
     """Verify ||grad h|| <= Lambda_{2,alpha}(k) ||d^alpha D^2 h|| numerically."""
     lam = lambda_constant(span.k, mu, eta)
-    lhs = grad_l2(h)
+    lhs = math.sqrt(h.energy())
     rhs = weighted_hessian_l2(h, alpha, partition)
     return GradientPoincareCheck(lhs, rhs, lam, lam * rhs - lhs)

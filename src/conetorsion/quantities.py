@@ -20,6 +20,7 @@ from .fem import (DegreeError, FemField, _boundary_edge_elements, bary_gradients
 from .geometry import (DomainSpec, SpanInfo, boundary_partition, segment_extremes,
                        serrin_radius)
 from .mesher import GAMMA0, GAMMA1, TaggedMesh
+from .poincare import theorem_constant
 from .quadrature import TRI_POINTS, TRI_WEIGHTS, edge_gauss
 
 CSV_COLUMNS = ("domain_id", "h_max", "degree", "R", "m", "z_x", "z_y",
@@ -207,8 +208,7 @@ class IdentityParts:
     lhs_exact_trace: float   # variant with Delta u frozen to N
 
 
-def identity_residual(u: FemField, center: Center | np.ndarray,
-                      R: float | None = None) -> IdentityParts:
+def identity_residual(u: FemField, center: Center | np.ndarray) -> IdentityParts:
     """Both sides of the volume identity and their scaled gap.
 
     lhs = int (-u) (|D^2 u|^2 - (tr D^2 u)^2/N) + int_G1 u <D^2u Du, nu>;
@@ -241,8 +241,7 @@ def identity_residual(u: FemField, center: Center | np.ndarray,
 
     flux = normal_derivative(u, 3)
     tr0, unu = flux.trace, flux.values
-    if R is None:
-        R = serrin_radius(float(np.sum(u._areas)), tr0.total_length)
+    R = serrin_radius(float(np.sum(u._areas)), tr0.total_length)
     xnu = np.einsum("egx,ex->eg", tr0.points - z[None, None, :], tr0.normals)
     rhs = 0.5 * float(np.sum(tr0.weights * (unu**2 - R**2) * (unu - xnu)))
 
@@ -278,7 +277,6 @@ class DeficitReport:
     k: int = 0
     collar_excluded: int = 0
     m_all_points: float = 0.0
-    degenerate: bool = False
     extras: dict = field(default_factory=dict)
 
     @staticmethod
@@ -347,13 +345,12 @@ def deficits(u: FemField, center: Center | np.ndarray, *,
 
     # the identity is only meaningful for constraint-respecting centers
     try:
-        ident = identity_residual(u, z, R=R)
+        ident = identity_residual(u, z)
     except CenterError:
         ident = IdentityParts(*[float("nan")] * 5)
 
-    degenerate = m <= 0.0
-    if lambda_21 is not None and not degenerate:
-        c_bound = (2.0 * 2.0 * lambda_21**2 + 3.0) / (2.0 * m)
+    if lambda_21 is not None and not m <= 0.0:
+        c_bound = theorem_constant(m, lambda_21)
         satisfied = pseudo <= c_bound * deficit_2
     else:
         c_bound, satisfied = None, None
@@ -367,7 +364,6 @@ def deficits(u: FemField, center: Center | np.ndarray, *,
         C_bound=c_bound, C_bound_satisfied=satisfied, k=k,
         collar_excluded=int(np.sum(flux.collar)),
         m_all_points=flux.min_value(exclude_collar=False),
-        degenerate=degenerate,
         extras={"identity_lhs_exact_trace": ident.lhs_exact_trace},
     )
 

@@ -23,8 +23,8 @@ from .geometry import (BoundaryPartition, DomainSpec, ScaledRadius, SpanInfo,
                        exterior_sphere_radius, interior_sphere_radius,
                        make_sector_domain, normal_span)
 from .mesher import TaggedMesh, triangulate
-from .quantities import (Center, DeficitReport, compute_center, deficits,
-                         max_depth, max_gradient)
+from .quantities import (DeficitReport, compute_center, deficits, max_depth,
+                         max_gradient)
 
 
 class SweepError(RuntimeError):
@@ -37,8 +37,6 @@ class SweepError(RuntimeError):
 
 @dataclass(frozen=True)
 class Family:
-    base: DomainSpec
-    mode: int
     eps_list: tuple
     members: tuple   # ((eps, DomainSpec), ...) including eps = 0
 
@@ -53,7 +51,7 @@ def make_family(base: DomainSpec, mode: int, eps_list) -> Family:
         fn = ScaledRadius(base.radius_fn, mode, eps)
         spec = make_sector_domain(base.beta, fn, base.sample_count)
         members.append((eps, spec))
-    return Family(base, int(mode), eps_sorted, tuple(members))
+    return Family(eps_sorted, tuple(members))
 
 
 # ---------------------------------------------------------------------------
@@ -62,27 +60,19 @@ def make_family(base: DomainSpec, mode: int, eps_list) -> Family:
 
 @dataclass
 class PipelineResult:
-    spec: DomainSpec
-    mesh: TaggedMesh
     field: fem.FemField
-    center: Center
     report: DeficitReport
-    span: SpanInfo
-    partition: BoundaryPartition
-    lam: float
-    mu: poincare.PoincareEstimate | None
-    eta: poincare.PoincareEstimate | None
 
 
 def estimate_lambda(mesh: TaggedMesh, partition: BoundaryPartition,
                     span: SpanInfo):
-    """(Lambda_{2,1}, mu, eta) on one mesh; eta only when GAMMA1 is present."""
+    """(Lambda_{2,1}, mu) on one mesh; eta enters only when GAMMA1 is present."""
     seg = partition.all_segments()
     mu = poincare.mu_estimate(mesh, 1.0, boundary=(seg[0], seg[1]))
     eta = None
     if span.k >= 1:
         eta = poincare.eta_estimate(mesh, partition, span, 1.0)
-    return poincare.lambda_constant(span.k, mu, eta), mu, eta
+    return poincare.lambda_constant(span.k, mu, eta), mu
 
 
 def run_pipeline(spec: DomainSpec, h_target: float, degree: int = 2, *,
@@ -92,13 +82,11 @@ def run_pipeline(spec: DomainSpec, h_target: float, degree: int = 2, *,
     span = normal_span(part)
     mesh = triangulate(spec, h_target)
     u = fem.solve(fem.assemble(mesh, degree))
-    mu = eta = None
     if lam is None:
-        lam, mu, eta = estimate_lambda(mesh, part, span)
-    z = compute_center(u, span)
-    rep = deficits(u, z, lambda_21=lam, domain_id=domain_id)
+        lam = estimate_lambda(mesh, part, span)[0]
+    rep = deficits(u, compute_center(u, span), lambda_21=lam, domain_id=domain_id)
     _attach_extras(rep, spec, u, span)
-    return PipelineResult(spec, mesh, u, z, rep, span, part, lam, mu, eta)
+    return PipelineResult(u, rep)
 
 
 def _attach_extras(rep: DeficitReport, spec: DomainSpec, u: fem.FemField,
@@ -132,16 +120,12 @@ class SweepResult:
     rows: list            # SweepRow, sorted by eps
     lam: float
     mu: poincare.PoincareEstimate
-    eta: poincare.PoincareEstimate | None
     k: int
-    h_target: float
-    degree: int
-    label: str
     failures: list = field(default_factory=list)
 
-    def column(self, name: str, include_base: bool = True) -> np.ndarray:
-        rows = self.rows if include_base else [r for r in self.rows if r.eps > 0]
-        return np.array([r.column(name) for r in rows])
+    def column(self, name: str) -> np.ndarray:
+        """One column over the perturbed (eps > 0) rows."""
+        return np.array([r.column(name) for r in self.rows if r.eps > 0])
 
 
 def run_sweep(family: Family, h_target: float, degree: int = 2, *,
@@ -156,7 +140,7 @@ def run_sweep(family: Family, h_target: float, degree: int = 2, *,
     part0 = boundary_partition(base)
     span0 = normal_span(part0)
     mesh0 = triangulate(base, h_target)
-    lam, mu, eta = estimate_lambda(mesh0, part0, span0)
+    lam, mu = estimate_lambda(mesh0, part0, span0)
 
     def one(member):
         """(row, None) for a solved member, (None, (eps, reason)) for a failed one."""
@@ -178,8 +162,7 @@ def run_sweep(family: Family, h_target: float, degree: int = 2, *,
                   key=lambda r: r.eps)
     failures = [fail for _, fail in outcomes if fail is not None]
 
-    result = SweepResult(rows, lam, mu, eta, span0.k, h_target, degree, label,
-                         failures)
+    result = SweepResult(rows, lam, mu, span0.k, failures)
     if failures:
         err = SweepError(f"members failed: {failures}")
         err.partial = result
@@ -201,9 +184,6 @@ class ExponentFit:
     log_profile_coeff: float = float("nan")
     log_profile_r2: float = float("nan")
 
-    def __iter__(self):
-        return iter((self.slope, self.intercept, self.r_squared))
-
 
 def fit_exponent(result: SweepResult, x_column: str, y_column: str) -> ExponentFit:
     """Least-squares slope of log y vs log x over the eps > 0 rows.
@@ -211,9 +191,8 @@ def fit_exponent(result: SweepResult, x_column: str, y_column: str) -> ExponentF
     Also fits the two-dimensional log-profile y ~ c * x * max(log(1/x), 1)
     (single coefficient through the origin), recorded alongside.
     """
-    x = result.column(x_column, include_base=False)
-    y = result.column(y_column, include_base=False)
-    return fit_exponent_xy(x, y, x_column, y_column)
+    return fit_exponent_xy(result.column(x_column), result.column(y_column),
+                           x_column, y_column)
 
 
 def fit_exponent_xy(x, y, x_column: str = "", y_column: str = "") -> ExponentFit:

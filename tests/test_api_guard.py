@@ -1,8 +1,10 @@
 """Names the demos and the benchmark bind still exist.
 
 Static checks only (no demo runs, no solves): every ``conetorsion`` import
-in ``demos/*.py`` resolves, every ``bench/tracer.py`` span names a function
-whose signature has the arguments its counter reads, every sweep column
+in ``demos/*.py`` resolves, every call of an imported name in the demos and
+every ``ct.<name>(...)`` call in ``bench/workloads.py`` binds to the
+signature it calls, every ``bench/tracer.py`` span names a function whose
+signature has the arguments its counter reads, every sweep column
 ``bench/workloads.py`` reports is one that ``SweepRow.column`` answers, and
 every config key the loader accepts is documented in ``README.md``.
 """
@@ -40,6 +42,41 @@ def test_demo_imports_resolve(demo):
     assert names
     for module, name in names:
         assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
+
+
+def _library_calls():
+    """(where, function, positional count, keyword names) of each
+    ``ct.<name>(...)`` call in bench/workloads.py and each demo call of a
+    name imported from ``conetorsion``."""
+    ct = importlib.import_module("conetorsion")
+    calls = []
+    for path in [WORKLOADS, *DEMOS]:
+        imported = {name: module for module, name in _conetorsion_imports(path)}
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            if isinstance(f, ast.Attribute) and getattr(f.value, "id", None) == "ct":
+                name, fn = f.attr, getattr(ct, f.attr, None)
+            elif isinstance(f, ast.Name) and f.id in imported:
+                module = importlib.import_module(imported[f.id])
+                name, fn = f.id, getattr(module, f.id, None)
+            else:
+                continue
+            keywords = [k.arg for k in node.keywords]
+            assert None not in keywords and not any(
+                isinstance(a, ast.Starred) for a in node.args), "unpacked call"
+            calls.append((f"{path.name}:{node.lineno}:{name}", fn,
+                          len(node.args), keywords))
+    return calls
+
+
+@pytest.mark.parametrize("call", _library_calls(), ids=lambda c: c[0])
+def test_library_call_binds(call):
+    where, fn, n_positional, keywords = call
+    assert callable(fn), where
+    inspect.signature(fn).bind(*[None] * n_positional,
+                               **dict.fromkeys(keywords))
 
 
 def _tracer_spans():

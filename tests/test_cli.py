@@ -150,8 +150,13 @@ def test_degree_one_is_validation_error(tmp_path, capsys):
     ("radius = constant 1.0", "radius = table\n    radius_points = 0,1 1",
      "radius_points"),
     ("h_target = 0.1", "h_target = abc", "h_target"),
+    ("[output]", "[poincare]\n    alphas = 0 0.3\n    [output]", "alphas"),
+    ("[output]", "[poincare]\n    alphas = nan\n    [output]", "alphas"),
+    ("[output]", "[poincare]\n    levels = 0\n    [output]", "levels"),
+    ("degree = 2", "degree = 2\n    refinements = 0", "refinements"),
 ], ids=["angle", "angle_pi_over_0", "samples", "constant", "fourier",
-        "radius_points", "h_target"])
+        "radius_points", "h_target", "alphas", "alphas_nan", "levels",
+        "refinements"])
 def test_malformed_value_is_validation_error(tmp_path, capsys, good, bad, key):
     body = QUARTER.replace(good, bad)
     code = main(["solve", "--config", write_config(tmp_path, body),

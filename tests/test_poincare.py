@@ -64,7 +64,7 @@ def test_mu_history_decreases(disk_spec):
     mesh = triangulate(disk_spec, 0.15)
     est = mu_estimate(mesh, 0.0, levels=3)
     hist = est.history
-    assert len(hist) == 3 and est.level == 2
+    assert len(hist) == 3
     assert all(hist[i + 1] <= hist[i] * 1.02 for i in range(2))
     assert est.converged == (abs(hist[-1] - hist[-2]) <= 0.02 * hist[-1])
 
@@ -91,6 +91,24 @@ def test_mu_weighted_variants_positive(disk_spec):
 def test_mu_rejects_bad_alpha(disk_spec):
     with pytest.raises(ValueError):
         mu_estimate(triangulate(disk_spec, 0.2), 0.25)
+
+
+def test_mu_rejects_zero_levels(disk_spec):
+    with pytest.raises(ValueError, match="levels"):
+        mu_estimate(triangulate(disk_spec, 0.2), 0.0, levels=0)
+
+
+@pytest.mark.parametrize("levels", [1, 2])
+def test_estimate_value_and_converged_follow_history(disk_spec, levels):
+    est = mu_estimate(triangulate(disk_spec, 0.2), 0.0, levels=levels)
+    hist = est.history
+    assert len(hist) == levels and est.value == hist[-1]
+    assert est.converged == (levels == 2 and
+                             abs(hist[1] - hist[0]) <= 0.02 * abs(hist[1]))
+    est.history = [hist[0], hist[0] * 1.01]     # derived, not stored
+    assert est.value == hist[0] * 1.01 and est.converged
+    est.history = [hist[0], hist[0] * 1.05]
+    assert not est.converged
 
 
 def _smallest_eigs_colamd(A, M, k: int = 4, sigma: float = -1.0) -> np.ndarray:

@@ -79,7 +79,7 @@ def test_sweep_thread_count_invariant(coarse_sweep):
 
 def test_sweep_deficits_monotone_in_eps(disk_sweep):
     for col in ("deficit_1", "deficit_2", "pseudodistance", "rho_gap"):
-        vals = disk_sweep.column(col, include_base=False)
+        vals = disk_sweep.column(col)
         assert np.all(np.diff(vals) >= -0.05 * vals[1:]), (col, vals)
 
 
@@ -90,10 +90,9 @@ def test_sweep_deficits_monotone_in_eps(disk_sweep):
 def test_fit_linear_synthetic():
     x = np.array([0.01, 0.02, 0.04, 0.08])
     fit = fit_exponent_xy(x, 2 * x)
-    slope, intercept, r2 = fit
-    assert slope == pytest.approx(1.0, abs=1e-12)
-    assert intercept == pytest.approx(math.log(2.0), abs=1e-12)
-    assert r2 == pytest.approx(1.0, abs=1e-12)
+    assert fit.slope == pytest.approx(1.0, abs=1e-12)
+    assert fit.intercept == pytest.approx(math.log(2.0), abs=1e-12)
+    assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
 
 
 def test_fit_quadratic_synthetic():
