@@ -5,7 +5,8 @@ angular intervals (q wedges meet at the cone vertex), consecutive rings are
 joined by zigzag strips, and every node is mapped by
 (rho, t) -> rho * r(t) * (cos t, sin t).  Boundary vertices therefore lie on
 the analytic boundary exactly; uniform refinement re-projects new GAMMA0
-vertices onto the graph.
+vertices onto the graph.  Where GAMMA0 meets a leg at an obtuse angle, the
+ring mesh is then graded toward that corner by longest-edge bisection.
 """
 
 from __future__ import annotations
@@ -211,7 +212,8 @@ def triangulate(spec: DomainSpec, h_target: float) -> TaggedMesh:
     """Conforming tagged mesh with h_max <= 1.5 * h_target.
 
     The ring count is increased deterministically until the target is met;
-    boundary vertices land on the analytic boundary by construction.
+    boundary vertices land on the analytic boundary by construction.  Obtuse
+    GAMMA0/GAMMA1 corners are then graded (see ``CORNER_GRADE``).
     """
     if h_target <= 0:
         raise MeshError("h_target must be positive")
@@ -223,9 +225,84 @@ def triangulate(spec: DomainSpec, h_target: float) -> TaggedMesh:
         V, T = _ring_mesh(spec, n)
         mesh = _finalize(spec, V, T)
         if mesh.h_max <= 1.5 * h_target:
-            return mesh
+            return _grade_corners(mesh, CORNER_FLOOR * h_target)
         n = math.ceil(n * mesh.h_max / (1.4 * h_target))
     raise MeshError("could not reach the mesh-size target")
+
+
+# ---------------------------------------------------------------------------
+# grading toward obtuse GAMMA0/GAMMA1 corners
+# ---------------------------------------------------------------------------
+
+# Where GAMMA0 meets a leg at an interior angle theta > pi/2, the torsion
+# function behaves like rho^(pi / (2 theta)) near the corner and its Hessian
+# blows up.  On the ring mesh of the quarter cone with r = 1 + 0.0625 cos 5t
+# (theta = 107 deg) the GAMMA1 term of the identity, zero for the exact
+# solution, reads -0.013, -0.011, -0.009, -0.007 for h = 0.17 ... 0.02.
+# triangulate therefore bisects until every triangle's longest edge is at most
+# CORNER_GRADE times the distance of its centroid from the corner, or at most
+# CORNER_FLOOR * h_target.  Right-angled and acute corners are left alone.
+CORNER_GRADE = 0.2
+CORNER_FLOOR = 0.01
+_KEY_BASE = 1 << 31       # edge_key base that outlives any vertex count here
+
+
+def obtuse_corners(spec: DomainSpec, tol: float = 1e-8) -> np.ndarray:
+    """(k, 2) GAMMA0/GAMMA1 corners whose interior angle exceeds pi/2."""
+    if spec.cone.is_full_plane:
+        return np.zeros((0, 2))
+    t = np.array([0.0, spec.beta])
+    # r'/r is tan(theta - pi/2) at t = 0 and -tan(theta - pi/2) at t = beta
+    slope = spec.radius_fn.deriv(t) / spec.radius_fn(t)
+    return spec.gamma0_point(t[[slope[0] > tol, slope[1] < -tol]])
+
+
+def _bisect(V, T, marked, g0, spec):
+    """Longest-edge bisection of the marked triangles, closed to conformity.
+
+    ``g0`` holds the keys of the GAMMA0 edges; their midpoints are projected
+    onto the graph and their halves join ``g0``.
+    """
+    split = mids = np.empty(0, dtype=np.int64)
+    while marked.any():
+        P = V[T[marked]]
+        j = np.linalg.norm(P[:, [1, 2, 0]] - P, axis=2).argmax(axis=1)
+        t = np.take_along_axis(T[marked], (j[:, None] + np.arange(3)) % 3, axis=1)
+        keys = edge_key(t[:, :2], _KEY_BASE)
+        fresh = np.setdiff1d(keys, split)
+        a, b = fresh // _KEY_BASE, fresh % _KEY_BASE
+        mid = 0.5 * (V[a] + V[b])
+        on_g0 = np.isin(fresh, g0)
+        mid[on_g0] = spec.project_to_gamma0(mid[on_g0])
+        new = len(V) + np.arange(len(fresh))
+        V = np.vstack([V, mid])
+        g0 = np.concatenate([g0, edge_key(np.stack([a, new], 1)[on_g0], _KEY_BASE),
+                             edge_key(np.stack([new, b], 1)[on_g0], _KEY_BASE)])
+        order = np.argsort(np.concatenate([split, fresh]))
+        split = np.concatenate([split, fresh])[order]
+        mids = np.concatenate([mids, new])[order]
+        m = mids[np.searchsorted(split, keys)]
+        T = np.concatenate([T[~marked], np.stack([t[:, 0], m, t[:, 2]], 1),
+                            np.stack([m, t[:, 1], t[:, 2]], 1)])
+        hanging = np.isin(edge_key(triangle_edges(T), _KEY_BASE), split)
+        marked = hanging.reshape(3, -1).any(axis=0)
+    return V, T, g0
+
+
+def _grade_corners(mesh: TaggedMesh, h_floor: float) -> TaggedMesh:
+    corners = obtuse_corners(mesh.spec)
+    if not len(corners):
+        return mesh
+    V, T = mesh.vertices, mesh.triangles
+    g0 = edge_key(mesh.gamma0_edges(), _KEY_BASE)
+    while True:
+        P = V[T]
+        size = np.linalg.norm(P[:, [1, 2, 0]] - P, axis=2).max(axis=1)
+        dist = np.linalg.norm(P.mean(axis=1)[:, None] - corners, axis=2).min(axis=1)
+        marked = size > np.maximum(CORNER_GRADE * dist, h_floor)
+        if not marked.any():
+            return _finalize(mesh.spec, V, T)
+        V, T, g0 = _bisect(V, T, marked, g0, mesh.spec)
 
 
 def _finalize(spec: DomainSpec | None, V: np.ndarray, T: np.ndarray) -> TaggedMesh:

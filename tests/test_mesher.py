@@ -224,3 +224,79 @@ def test_ring_mesh_matches_the_loop_oracle(disk_spec, pert_quarter_spec):
             V0, T0 = _ring_mesh_oracle(spec, n)
             assert V.dtype == V0.dtype and T.dtype == T0.dtype
             assert np.array_equal(V, V0) and np.array_equal(T, T0)
+
+
+# ---------------------------------------------------------------------------
+# grading toward obtuse GAMMA0/GAMMA1 corners
+# ---------------------------------------------------------------------------
+
+def _sector(beta, mode, eps):
+    from conetorsion import FourierRadius, make_sector_domain
+    return make_sector_domain(beta, FourierRadius(1.0, [(mode, eps)]), 256)
+
+
+def test_obtuse_corners_found_only_where_the_angle_exceeds_a_right_angle(
+        quarter_spec, pert_quarter_spec, disk_spec):
+    from conetorsion.mesher import obtuse_corners
+    # r = 1 + eps cos 5t meets the leg t = pi/2 at 90 + atan(5 eps) degrees
+    np.testing.assert_allclose(obtuse_corners(_sector(math.pi / 2, 5, 0.08)),
+                               [[0.0, 1.0]], atol=1e-15)
+    # mode 3 makes that corner acute; mode 4 and the quarter disk keep it right
+    for spec in (_sector(math.pi / 2, 3, 0.08), pert_quarter_spec, quarter_spec,
+                 disk_spec):
+        assert obtuse_corners(spec).shape == (0, 2)
+
+
+def test_right_and_acute_corners_keep_the_ring_mesh(pert_quarter_spec):
+    from conetorsion.mesher import _ring_mesh
+    for spec in (pert_quarter_spec, _sector(math.pi / 2, 3, 0.08)):
+        mesh = triangulate(spec, 0.12)
+        n = math.isqrt(mesh.n_triangles // 2)     # q = 2 wedges, q n^2 triangles
+        V, T = _ring_mesh(spec, n)
+        assert np.array_equal(mesh.vertices, V)
+        assert np.array_equal(mesh.triangles, T)
+
+
+def test_obtuse_corner_mesh_is_graded_and_conforming():
+    from conetorsion.mesher import (CORNER_FLOOR, CORNER_GRADE, _finalize,
+                                    _ring_mesh, obtuse_corners)
+    spec = _sector(math.pi / 2, 5, 0.08)
+    h = 0.12
+    mesh = triangulate(spec, h)
+    P = mesh.vertices[mesh.triangles]
+    size = np.linalg.norm(P[:, [1, 2, 0]] - P, axis=2).max(axis=1)
+    dist = np.linalg.norm(P.mean(axis=1) - obtuse_corners(spec)[0], axis=1)
+    assert np.all(size <= np.maximum(CORNER_GRADE * dist, CORNER_FLOOR * h))
+    assert size.min() <= CORNER_FLOOR * h
+    assert mesh.h_max <= 1.5 * h
+    assert mesh.min_angle >= 20.0
+    assert np.all(mesh.areas > 0)
+    assert mesh.n_vertices - edge_count(mesh) + mesh.n_triangles == 1
+    # conforming: the boundary is exactly the two legs and the graph
+    lengths = mesh.boundary_lengths()
+    legs = float(spec.radius_fn(0.0)) + float(spec.radius_fn(math.pi / 2))
+    assert lengths[mesh.boundary_tags == GAMMA1].sum() == pytest.approx(legs, abs=1e-12)
+    # bisection keeps the ring mesh's vertices and only adds more: the chord
+    # sum along the graph grows toward its length
+    ring = _finalize(spec, *_ring_mesh(spec, math.ceil(1.08 / h)))
+    assert ring.h_max <= 1.5 * h
+    assert np.array_equal(mesh.vertices[:ring.n_vertices], ring.vertices)
+    chords = lengths[mesh.boundary_tags == GAMMA0].sum()
+    assert ring.boundary_lengths()[ring.boundary_tags == GAMMA0].sum() < chords
+    assert chords < gamma0_length(spec)
+    for a, b in mesh.gamma0_edges():
+        for vid in (a, b):
+            x = mesh.vertices[vid]
+            t = spec.clamp_angle(math.atan2(x[1], x[0]))
+            assert abs(np.hypot(*x) - float(spec.radius_fn(t))) <= 1e-12
+
+
+def test_obtuse_corner_grading_bounds_the_gamma1_term():
+    # at h = 0.12 the ring mesh alone gives gamma1_term = -0.020 here; the
+    # exact term vanishes on the straight legs
+    from conetorsion import (assemble, boundary_partition, compute_center,
+                             deficits, normal_span, solve)
+    spec = _sector(math.pi / 2, 5, 0.08)
+    u = solve(assemble(triangulate(spec, 0.12), 2))
+    rep = deficits(u, compute_center(u, normal_span(boundary_partition(spec))))
+    assert abs(rep.gamma1_term) <= 5e-3
