@@ -88,7 +88,7 @@ def _floats(text: str) -> tuple:
 def _alphas(text: str) -> tuple:
     """Poincare weight exponents; only 0, 1/2 and 1 are implemented."""
     alphas = _floats(text)
-    if any(a not in (0.0, 0.5, 1.0) for a in alphas):
+    if any(a not in poincare.ALPHAS for a in alphas):
         raise ValueError("each alpha must be 0, 0.5 or 1")
     return alphas
 

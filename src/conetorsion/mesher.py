@@ -247,14 +247,14 @@ CORNER_FLOOR = 0.01
 _KEY_BASE = 1 << 31       # edge_key base that outlives any vertex count here
 
 
-def obtuse_corners(spec: DomainSpec, tol: float = 1e-8) -> np.ndarray:
+def _obtuse_corners(spec: DomainSpec) -> np.ndarray:
     """(k, 2) GAMMA0/GAMMA1 corners whose interior angle exceeds pi/2."""
     if spec.cone.is_full_plane:
         return np.zeros((0, 2))
     t = np.array([0.0, spec.beta])
     # r'/r is tan(theta - pi/2) at t = 0 and -tan(theta - pi/2) at t = beta
     slope = spec.radius_fn.deriv(t) / spec.radius_fn(t)
-    return spec.gamma0_point(t[[slope[0] > tol, slope[1] < -tol]])
+    return spec.gamma0_point(t[[slope[0] > 1e-8, slope[1] < -1e-8]])
 
 
 def _bisect(V, T, marked, g0, spec):
@@ -290,7 +290,7 @@ def _bisect(V, T, marked, g0, spec):
 
 
 def _grade_corners(mesh: TaggedMesh, h_floor: float) -> TaggedMesh:
-    corners = obtuse_corners(mesh.spec)
+    corners = _obtuse_corners(mesh.spec)
     if not len(corners):
         return mesh
     V, T = mesh.vertices, mesh.triangles

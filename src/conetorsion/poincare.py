@@ -27,6 +27,9 @@ from .mesher import GAMMA1, TaggedMesh, refine
 from .quadrature import TRI_POINTS, TRI_WEIGHTS
 
 
+ALPHAS = (0.0, 0.5, 1.0)      # the implemented weight exponents
+
+
 class EigenError(RuntimeError):
     """Eigenvalue solve failed or returned an inconsistent spectrum."""
 
@@ -108,7 +111,7 @@ def _first_positive(vals: np.ndarray) -> float:
 def _ladder(kind: str, mesh: TaggedMesh, alpha: float, levels: int,
             constant) -> PoincareEstimate:
     """``constant(mesh)`` on ``mesh`` and on each of its ``levels - 1`` refinements."""
-    if alpha not in (0.0, 0.5, 1.0):
+    if alpha not in ALPHAS:
         raise ValueError("alpha must be one of 0, 1/2, 1")
     if levels < 1:
         raise ValueError("levels must be at least 1")

@@ -237,14 +237,14 @@ def _sector(beta, mode, eps):
 
 def test_obtuse_corners_found_only_where_the_angle_exceeds_a_right_angle(
         quarter_spec, pert_quarter_spec, disk_spec):
-    from conetorsion.mesher import obtuse_corners
+    from conetorsion.mesher import _obtuse_corners
     # r = 1 + eps cos 5t meets the leg t = pi/2 at 90 + atan(5 eps) degrees
-    np.testing.assert_allclose(obtuse_corners(_sector(math.pi / 2, 5, 0.08)),
+    np.testing.assert_allclose(_obtuse_corners(_sector(math.pi / 2, 5, 0.08)),
                                [[0.0, 1.0]], atol=1e-15)
     # mode 3 makes that corner acute; mode 4 and the quarter disk keep it right
     for spec in (_sector(math.pi / 2, 3, 0.08), pert_quarter_spec, quarter_spec,
                  disk_spec):
-        assert obtuse_corners(spec).shape == (0, 2)
+        assert _obtuse_corners(spec).shape == (0, 2)
 
 
 def test_right_and_acute_corners_keep_the_ring_mesh(pert_quarter_spec):
@@ -259,13 +259,13 @@ def test_right_and_acute_corners_keep_the_ring_mesh(pert_quarter_spec):
 
 def test_obtuse_corner_mesh_is_graded_and_conforming():
     from conetorsion.mesher import (CORNER_FLOOR, CORNER_GRADE, _finalize,
-                                    _ring_mesh, obtuse_corners)
+                                    _ring_mesh, _obtuse_corners)
     spec = _sector(math.pi / 2, 5, 0.08)
     h = 0.12
     mesh = triangulate(spec, h)
     P = mesh.vertices[mesh.triangles]
     size = np.linalg.norm(P[:, [1, 2, 0]] - P, axis=2).max(axis=1)
-    dist = np.linalg.norm(P.mean(axis=1) - obtuse_corners(spec)[0], axis=1)
+    dist = np.linalg.norm(P.mean(axis=1) - _obtuse_corners(spec)[0], axis=1)
     assert np.all(size <= np.maximum(CORNER_GRADE * dist, CORNER_FLOOR * h))
     assert size.min() <= CORNER_FLOOR * h
     assert mesh.h_max <= 1.5 * h
