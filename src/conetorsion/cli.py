@@ -85,12 +85,14 @@ def _floats(text: str) -> tuple:
     return tuple(float(w) for w in text.split())
 
 
-def _alphas(text: str) -> tuple:
-    """Poincare weight exponents; only 0, 1/2 and 1 are implemented."""
-    alphas = _floats(text)
-    if any(a not in poincare.ALPHAS for a in alphas):
-        raise ValueError("each alpha must be 0, 0.5 or 1")
-    return alphas
+def _some_of(convert, allowed: tuple):
+    """Converter of a non-empty list of values from ``allowed``."""
+    def parse(text: str) -> tuple:
+        values = tuple(convert(w) for w in text.split())
+        if not values or any(v not in allowed for v in values):
+            raise ValueError(f"expected one or more of {', '.join(map(str, allowed))}")
+        return values
+    return parse
 
 
 def _count(text: str) -> int:
@@ -110,7 +112,7 @@ def _points(text: str) -> list:
 def load_config(path: str) -> RunConfig:
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
     try:
         parser.read(path)
     except configparser.Error as exc:
@@ -153,14 +155,11 @@ def load_config(path: str) -> RunConfig:
     if get("mesh", "degree", int, 2) != 2:
         raise ConfigError("degree must be 2 (the flux and the element Hessians "
                           "need a degree-2 field)")
-    kinds = get("poincare", "kinds", lambda text: tuple(text.split()), ("mu",))
-    for kind in kinds:
-        if kind not in ("mu", "eta"):
-            raise ConfigError(f"unknown poincare kind {kind!r}")
     return RunConfig(spec, get("mesh", "h_target", float, 0.05),
                      get("mesh", "refinements", _count, 3),
                      get("sweep", "mode", int), get("sweep", "epsilons", _floats, ()),
-                     get("poincare", "alphas", _alphas, (0.0,)), kinds,
+                     get("poincare", "alphas", _some_of(float, poincare.ALPHAS), (0.0,)),
+                     get("poincare", "kinds", _some_of(str, ("mu", "eta")), ("mu",)),
                      get("poincare", "levels", _count, 2),
                      get("output", "prefix", str, "run"),
                      get("output", "export_mesh", _bool, False),

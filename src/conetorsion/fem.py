@@ -8,6 +8,9 @@ On curved GAMMA0 the midpoint Dirichlet values are corrected by one
 gradient-only Taylor step toward the analytic boundary, which restores the
 cubic L2 accuracy of P2 that the polygonal O(h^2) boundary gap would
 otherwise cap at quadratic order (see tests for the measured rates).
+
+Large systems on shape-regular meshes are solved by CG with a two-level
+P2 -> P1 preconditioner on the same mesh (p-multigrid); others by LU.
 """
 
 from __future__ import annotations
@@ -308,6 +311,11 @@ class FemField:
 # solve
 # ---------------------------------------------------------------------------
 
+# CG path: min free dofs, min angle (degrees; ROADMAP item 1 table), stopping
+_CG_MIN_DOFS, _CG_MIN_ANGLE = 40_000, 20.0
+_CG_RTOL, _CG_MAX_ITER = 1e-12, 100
+
+
 def _boundary_edge_elements(mesh: TaggedMesh) -> np.ndarray:
     """Owning element of each row of ``mesh.boundary_edges`` (cached, read-only)."""
     owner = mesh._cache.get("boundary_owner")
@@ -359,13 +367,76 @@ def factor_spd(A) -> SpdFactor:
     return SpdFactor(lu, perm)
 
 
-def solve(system: LinearSystem, curved_correction: bool = True) -> FemField:
-    """Direct sparse solve; optional curved-boundary midpoint correction.
+def _prolongation(dofmap: DofMap) -> sp.csr_matrix:
+    """P1 vertex values -> nodal values on ``dofmap`` (n_dofs, n_vertices):
+    vertices copy, midpoints average their edge's ends (P1 is nested in P2)."""
+    nv, keys = dofmap.n_vertices, dofmap.edge_keys
+    rows = np.concatenate([np.arange(nv), np.repeat(nv + np.arange(len(keys)), 2)])
+    cols = np.concatenate([np.arange(nv), np.column_stack([keys // nv, keys % nv]).ravel()])
+    vals = np.concatenate([np.ones(nv), np.full(2 * len(keys), 0.5)])
+    return sp.csr_matrix((vals, (rows, cols)), shape=(dofmap.n_dofs, nv))
 
+
+def _dot(x: np.ndarray, y: np.ndarray) -> float:
+    """Inner product summed in a fixed order, whatever the BLAS thread count."""
+    return float(np.add.reduce(x * y))
+
+
+def _two_level(A: sp.csr_matrix, dofmap: DofMap, free: np.ndarray):
+    """Symmetric two-level P2 -> P1 cycle on the free dofs: (r -> M^-1 r, coarse factor).
+
+    Coarse: P1 on the free vertices, Galerkin P^T A P.  One degree-3 Chebyshev-
+    Jacobi sweep on [lmax / 10, lmax] (Gershgorin lmax of D^-1 A) before and after.
+    """
+    P = _prolongation(dofmap)[free][:, free[free < dofmap.n_vertices]]
+    coarse = factor_spd(P.T @ A @ P)
+    diag = A.diagonal()
+    lmax = float((abs(A) @ np.ones(A.shape[0]) / diag).max())
+    theta, delta = 0.55 * lmax, 0.45 * lmax
+
+    def smooth(x, r):
+        """Sweep from x with residual r: (x', r', d); the residual of x' is r' - A d."""
+        rho = delta / theta
+        d = r / (theta * diag)
+        for _ in range(2):
+            x, r = x + d, r - A @ d
+            rho, rho_old = 1 / (2 * theta / delta - rho), rho
+            d = (rho * rho_old) * d + (2 * rho / delta) * (r / diag)
+        return x + d, r, d
+
+    def cycle(r):
+        x, r, d = smooth(np.zeros_like(r), r)
+        r = r - A @ d
+        e = P @ coarse.solve(P.T @ r)
+        return smooth(x + e, r - A @ e)[0]
+
+    return cycle, coarse
+
+
+def _pcg(A, b: np.ndarray, x: np.ndarray, precondition, stop: float, steps: list):
+    """Preconditioned CG from x to ||r|| <= stop or _CG_MAX_ITER steps; appends the steps."""
+    r, p, rz = b - A @ x, np.zeros_like(x), 1.0
+    for k in range(_CG_MAX_ITER + 1):
+        if k == _CG_MAX_ITER or _dot(r, r) <= stop * stop:
+            steps.append(k)
+            return x
+        z = precondition(r)
+        rz, rz_old = _dot(r, z), rz
+        p = z + (rz / rz_old) * p
+        q = A @ p
+        alpha = rz / _dot(p, q)
+        x, r = x + alpha * p, r - alpha * q
+
+
+def solve(system: LinearSystem, curved_correction: bool = True) -> FemField:
+    """Sparse solve; optional curved-boundary midpoint correction.
+
+    CG with ``_two_level`` to ||r|| <= _CG_RTOL ||b_free|| when the reduced
+    system is large and the mesh shape-regular (_CG_MIN_*), else ``factor_spd``.
     The correction applies to degree-2 systems on meshes that carry an
     analytic boundary: the Dirichlet value at each GAMMA0 edge midpoint m is
     set to -<grad u, p - m> with p the radial projection of m onto the graph,
-    using the gradient of the uncorrected solve (one extra back-substitution).
+    using the gradient of the uncorrected solve (one extra solve, warm-started).
     """
     A, b = system.matrix, system.load
     n = A.shape[0]
@@ -375,17 +446,25 @@ def solve(system: LinearSystem, curved_correction: bool = True) -> FemField:
     fixed = system.dirichlet
     free = np.setdiff1d(np.arange(n), fixed, assume_unique=True)
     A_f = A[free]
-    A_ff = A_f[:, free].tocsc()
+    A_ff = A_f[:, free]
     A_fc = A_f[:, fixed]
-    lu = factor_spd(A_ff)
+    min_angle = system.mesh.min_angle
+    iterations = []
+    if len(free) >= _CG_MIN_DOFS and min_angle >= _CG_MIN_ANGLE:
+        cycle, lu = _two_level(A_ff, system.dofmap, free)
+        stop = _CG_RTOL * np.sqrt(_dot(b[free], b[free]))
+    else:
+        cycle, lu = None, factor_spd(A_ff)
 
-    def solve_with(gvals: np.ndarray) -> np.ndarray:
+    def solve_with(gvals: np.ndarray, x0: np.ndarray) -> np.ndarray:
         u = np.zeros(n)
         u[fixed] = gvals
-        u[free] = lu.solve(b[free] - A_fc @ gvals)
+        rhs = b[free] - A_fc @ gvals
+        u[free] = (lu.solve(rhs) if cycle is None
+                   else _pcg(A_ff, rhs, x0, cycle, stop, iterations))
         return u
 
-    u = solve_with(np.zeros(len(fixed)))
+    u = solve_with(np.zeros(len(fixed)), np.zeros(len(free)))
     field = FemField(system.mesh, system.dofmap.degree, u, system.dofmap)
 
     mesh = system.mesh
@@ -399,7 +478,7 @@ def solve(system: LinearSystem, curved_correction: bool = True) -> FemField:
                                np.full(3, 1.0 / 3.0))
         gvals = np.zeros(len(fixed))
         gvals[np.searchsorted(fixed, dofs)] = -np.einsum("ex,ex->e", grad, p - m)
-        u = solve_with(gvals)
+        u = solve_with(gvals, u[free])
         field = FemField(system.mesh, system.dofmap.degree, u, system.dofmap)
 
     resid = A_ff @ u[free] - (b[free] - A_fc @ u[fixed])
@@ -408,7 +487,9 @@ def solve(system: LinearSystem, curved_correction: bool = True) -> FemField:
     if rel > 1e-10:
         raise FemError(f"solver did not converge: relative residual {rel:g}")
     field.diagnostics.update({"relative_residual": rel, "n_dofs": n,
-                              "n_fixed": len(fixed), "lu_nnz": lu.nnz})
+                              "n_fixed": len(fixed), "lu_nnz": lu.nnz,
+                              "solver": "cg" if iterations else "direct",
+                              "cg_iterations": iterations, "min_angle": min_angle})
     return field
 
 

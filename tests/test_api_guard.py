@@ -5,8 +5,9 @@ in ``demos/*.py`` resolves, every call of an imported name in the demos and
 every ``ct.<name>(...)`` call in ``bench/workloads.py`` binds to the
 signature it calls, every ``bench/tracer.py`` span names a function whose
 signature has the arguments its counter reads, every sweep column
-``bench/workloads.py`` reports is one that ``SweepRow.column`` answers, and
-every config key the loader accepts is documented in ``README.md``.
+``bench/workloads.py`` reports is one that ``SweepRow.column`` answers,
+every config key the loader accepts is documented in ``README.md``, and the
+README example config loads.
 """
 
 import ast
@@ -19,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conetorsion.cli import _KNOWN_KEYS
+from conetorsion.cli import _KNOWN_KEYS, load_config
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -136,3 +137,12 @@ def test_bench_row_column_resolves(name):
     (section, key) for section, keys in _KNOWN_KEYS.items() for key in keys))
 def test_readme_documents_config_key(section, key):
     assert re.search(rf"(?<!\w){key} =", README.read_text()), f"[{section}] {key}"
+
+
+def test_readme_example_config_loads(tmp_path):
+    block = re.search(r"```ini\n(.*?)```", README.read_text(), re.S)
+    path = tmp_path / "readme.ini"
+    path.write_text(block.group(1))
+    cfg = load_config(str(path))
+    assert cfg.spec.beta == pytest.approx(2 * np.pi)
+    assert cfg.alphas == (0.0, 0.5, 1.0) and cfg.kinds == ("mu", "eta")

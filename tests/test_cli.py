@@ -154,9 +154,11 @@ def test_degree_one_is_validation_error(tmp_path, capsys):
     ("[output]", "[poincare]\n    alphas = nan\n    [output]", "alphas"),
     ("[output]", "[poincare]\n    levels = 0\n    [output]", "levels"),
     ("degree = 2", "degree = 2\n    refinements = 0", "refinements"),
+    ("[output]", "[poincare]\n    alphas =\n    [output]", "alphas"),
+    ("[output]", "[poincare]\n    kinds =\n    [output]", "kinds"),
 ], ids=["angle", "angle_pi_over_0", "samples", "constant", "fourier",
         "radius_points", "h_target", "alphas", "alphas_nan", "levels",
-        "refinements"])
+        "refinements", "alphas_empty", "kinds_empty"])
 def test_malformed_value_is_validation_error(tmp_path, capsys, good, bad, key):
     body = QUARTER.replace(good, bad)
     code = main(["solve", "--config", write_config(tmp_path, body),

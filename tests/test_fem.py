@@ -366,3 +366,124 @@ def test_factor_spd_fill_not_above_plain_minimum_degree(disk_spec,
 def test_solve_records_the_factor_fill(quarter_solve):
     diag = quarter_solve.field.diagnostics
     assert 0 < diag["n_dofs"] - diag["n_fixed"] < diag["lu_nnz"]
+
+
+# ---------------------------------------------------------------------------
+# two-level CG path (tests lower fem._CG_MIN_DOFS to route small systems)
+# ---------------------------------------------------------------------------
+
+def test_prolongation_maps_p1_interpolants_to_p2_interpolants(quarter_solve):
+    from conetorsion.fem import _prolongation
+    affine = lambda x, y: 0.5 - 2.0 * x + 0.25 * y
+    # dyadic vertices: every product and mean is exact
+    mesh = rectangle_mesh(4, 4)
+    p1, p2 = interpolate(mesh, 1, affine), interpolate(mesh, 2, affine)
+    assert np.array_equal(_prolongation(p2.dofmap) @ p1.coeffs, p2.coeffs)
+    mesh = quarter_solve.mesh
+    p1, p2 = interpolate(mesh, 1, affine), interpolate(mesh, 2, affine)
+    np.testing.assert_allclose(_prolongation(p2.dofmap) @ p1.coeffs, p2.coeffs,
+                               rtol=0, atol=1e-15)
+
+
+def test_cg_matches_the_direct_solve(pert_quarter_spec, disk_spec, monkeypatch):
+    # quarter4 refined once (33,856 free dofs) and the disk3 sweep member
+    # eps = 0.04 at h = 0.025 are both below the size cutoff
+    from conetorsion import fem, make_family
+    disk3 = make_family(disk_spec, 3, [0.04]).members[1][1]
+    for mesh in (refine(triangulate(pert_quarter_spec, 0.025)),
+                 triangulate(disk3, 0.025)):
+        system = assemble(mesh, 2)
+        direct = solve(system)
+        monkeypatch.setattr(fem, "_CG_MIN_DOFS", 0)
+        cg = solve(system)
+        monkeypatch.undo()
+        assert direct.diagnostics["solver"] == "direct"
+        assert direct.diagnostics["cg_iterations"] == []
+        assert cg.diagnostics["solver"] == "cg"
+        assert cg.diagnostics["lu_nnz"] < direct.diagnostics["lu_nnz"]
+        diff = np.abs(cg.coeffs - direct.coeffs).max()
+        assert diff <= 1e-11 * np.abs(direct.coeffs).max()
+
+
+def test_cg_iterations_do_not_grow_under_refinement(pert_quarter_spec,
+                                                    monkeypatch):
+    # quarter4 at h = 0.025 and its two refinements: 8,464 to 135,424 free dofs
+    from conetorsion import fem
+    monkeypatch.setattr(fem, "_CG_MIN_DOFS", 0)
+    mesh = triangulate(pert_quarter_spec, 0.025)
+    for _ in range(3):
+        diag = solve(assemble(mesh, 2)).diagnostics
+        assert diag["solver"] == "cg" and len(diag["cg_iterations"]) == 2
+        assert max(diag["cg_iterations"]) <= 20
+        mesh = refine(mesh)
+
+
+def test_cg_degree_one_converges_in_one_iteration(quarter_solve, monkeypatch):
+    # P1 is its own coarse space, so the cycle is an exact solve
+    from conetorsion import fem
+    monkeypatch.setattr(fem, "_CG_MIN_DOFS", 0)
+    assert solve(assemble(quarter_solve.mesh, 1)).diagnostics["cg_iterations"] == [1]
+
+
+def test_a_broken_cycle_fails_the_residual_check(quarter_spec, monkeypatch):
+    from conetorsion import fem
+    real_cycle, real_pcg = fem._two_level, fem._pcg
+    steps = []
+    monkeypatch.setattr(fem, "_CG_MIN_DOFS", 0)
+    monkeypatch.setattr(fem, "_two_level",
+                        lambda *args: (lambda r: r, real_cycle(*args)[1]))
+    monkeypatch.setattr(fem, "_pcg", lambda *args: real_pcg(*args[:-1], steps))
+    with pytest.raises(FemError, match="relative residual"):
+        solve(assemble(triangulate(quarter_spec, 0.1), 2))
+    assert steps == [fem._CG_MAX_ITER, fem._CG_MAX_ITER]
+
+
+def test_small_or_poorly_shaped_systems_keep_the_direct_path(quarter_spec,
+                                                             monkeypatch):
+    from conetorsion import FourierRadius, fem, make_sector_domain
+    from conetorsion.fem import factor_spd
+    spiky = make_sector_domain(2 * np.pi, FourierRadius(1.0, [(8, 0.3)]), 256)
+    small = triangulate(quarter_spec, 0.1)
+    poor = triangulate(spiky, 0.1)
+    assert poor.min_angle < fem._CG_MIN_ANGLE
+    for mesh, min_dofs in ((small, fem._CG_MIN_DOFS), (poor, 0)):
+        monkeypatch.setattr(fem, "_CG_MIN_DOFS", min_dofs)
+        system = assemble(mesh, 2)
+        u = solve(system, curved_correction=False)
+        A, b = _reduced(system)
+        free = np.setdiff1d(np.arange(system.matrix.shape[0]), system.dirichlet)
+        assert u.diagnostics["solver"] == "direct"
+        assert u.diagnostics["min_angle"] == mesh.min_angle
+        assert np.array_equal(u.coeffs[free], factor_spd(A.tocsc()).solve(b))
+
+
+def test_cg_is_identical_across_blas_thread_counts(tmp_path):
+    # 13,924 free dofs: vectors long enough for OpenBLAS to split a dot product
+    # over two threads (np.dot in place of the fixed-order sums fails here)
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+    script = tmp_path / "cg_hash.py"
+    script.write_text(
+        "import hashlib, math\n"
+        "import conetorsion as ct\n"
+        "from conetorsion import fem\n"
+        "fem._CG_MIN_DOFS = 0\n"
+        "spec = ct.make_sector_domain(math.pi / 2, "
+        "ct.FourierRadius(1.0, [(4, 0.05)]), 256)\n"
+        "u = ct.solve(ct.assemble(ct.triangulate(spec, 0.018), 2))\n"
+        "assert u.diagnostics['solver'] == 'cg'\n"
+        "print(hashlib.sha256(u.coeffs.tobytes()).hexdigest())\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    hashes = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        run = subprocess.run([sys.executable, str(script)], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        hashes.append(run.stdout.strip())
+    assert hashes[0] == hashes[1]
