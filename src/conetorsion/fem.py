@@ -396,8 +396,7 @@ def _two_level(A: sp.csr_matrix, dofmap: DofMap, free: np.ndarray):
 
     def smooth(x, r):
         """Sweep from x with residual r: (x', r', d); the residual of x' is r' - A d."""
-        rho = delta / theta
-        d = r / (theta * diag)
+        rho, d = delta / theta, r / (theta * diag)
         for _ in range(2):
             x, r = x + d, r - A @ d
             rho, rho_old = 1 / (2 * theta / delta - rho), rho
@@ -454,6 +453,7 @@ def solve(system: LinearSystem, curved_correction: bool = True) -> FemField:
         cycle, lu = _two_level(A_ff, system.dofmap, free)
         stop = _CG_RTOL * np.sqrt(_dot(b[free], b[free]))
     else:
+        A_ff = A_ff.tocsc()              # factor_spd then makes no copy
         cycle, lu = None, factor_spd(A_ff)
 
     def solve_with(gvals: np.ndarray, x0: np.ndarray) -> np.ndarray:
