@@ -16,7 +16,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .geometry import DomainSpec, domain_diameter, polyline_distance
+from .geometry import (DomainSpec, boundary_partition, domain_diameter,
+                       polyline_distance)
 from .quadrature import TRI_POINTS
 
 GAMMA0 = 0
@@ -106,17 +107,45 @@ class TaggedMesh:
 
         Row q holds the distances at ``TRI_POINTS[q]`` of every triangle.  The
         field is computed once per segment set and returned read-only.
+
+        When the mesh has a ``spec`` and the segments are its GAMMA0 polyline
+        followed by others (``BoundaryPartition.all_segments`` on a cone), the
+        field is the minimum of the GAMMA0 field, itself served through this
+        cache, and the field of the other segments.  That is bit-identical to
+        one pass over all segments: each point-segment pair is evaluated by
+        the same arithmetic, and sqrt is monotone and correctly rounded.
         """
         seg_a = np.ascontiguousarray(seg_a, dtype=float)
         seg_b = np.ascontiguousarray(seg_b, dtype=float)
         key = ("distance", seg_a.tobytes(), seg_b.tobytes())
         dist = self._cache.get(key)
         if dist is None:
-            xy = self.quadrature_points().reshape(-1, 2)
-            dist = polyline_distance(xy, seg_a, seg_b).reshape(len(TRI_POINTS), -1)
+            n0 = self._gamma0_prefix(seg_a, seg_b)
+            if n0:
+                dist = np.minimum(
+                    self.quadrature_distances(seg_a[:n0], seg_b[:n0]),
+                    self._distances(seg_a[n0:], seg_b[n0:]))
+            else:
+                dist = self._distances(seg_a, seg_b)
             dist.flags.writeable = False
             self._cache[key] = dist
         return dist
+
+    def _distances(self, seg_a, seg_b) -> np.ndarray:
+        xy = self.quadrature_points().reshape(-1, 2)
+        return polyline_distance(xy, seg_a, seg_b).reshape(len(TRI_POINTS), -1)
+
+    def _gamma0_prefix(self, seg_a, seg_b) -> int:
+        """Segment count of the spec's GAMMA0 polyline when the segments start
+        with it, bit for bit, and go on past it; 0 otherwise."""
+        if self.spec is None:
+            return 0
+        a0, b0 = boundary_partition(self.spec).gamma0.segments()
+        n0 = len(a0)
+        if (len(seg_a) > n0 and seg_a[:n0].tobytes() == a0.tobytes()
+                and seg_b[:n0].tobytes() == b0.tobytes()):
+            return n0
+        return 0
 
     def rotated(self, phi: float) -> "TaggedMesh":
         c, s = math.cos(phi), math.sin(phi)

@@ -20,8 +20,7 @@ import numpy as np
 from . import fem, poincare
 from .geometry import (BoundaryPartition, DomainSpec, ScaledRadius, SpanInfo,
                        boundary_partition, domain_diameter, DomainError,
-                       exterior_sphere_radius, interior_sphere_radius,
-                       make_sector_domain, normal_span)
+                       exterior_sphere_radius, make_sector_domain, normal_span)
 from .mesher import TaggedMesh, triangulate
 from .quantities import (DeficitReport, compute_center, deficits, max_depth,
                          max_gradient)
@@ -85,19 +84,15 @@ def run_pipeline(spec: DomainSpec, h_target: float, degree: int = 2, *,
     if lam is None:
         lam = estimate_lambda(mesh, part, span)[0]
     rep = deficits(u, compute_center(u, span), lambda_21=lam, domain_id=domain_id)
-    _attach_extras(rep, spec, u, span)
+    _attach_extras(rep, spec, u)
     return PipelineResult(u, rep)
 
 
-def _attach_extras(rep: DeficitReport, spec: DomainSpec, u: fem.FemField,
-                   span: SpanInfo) -> None:
+def _attach_extras(rep: DeficitReport, spec: DomainSpec, u: fem.FemField) -> None:
     rep.extras["max_grad"] = max_gradient(u)
     rep.extras["max_minus_u"] = max_depth(u)
     rep.extras["diameter"] = domain_diameter(spec)
     rep.extras["r_e"] = exterior_sphere_radius(spec)
-    ri = interior_sphere_radius(spec, samples=128)
-    rep.extras["r_i"] = ri.value if ri.ok else float("nan")
-    rep.extras["k"] = span.k
 
 
 # ---------------------------------------------------------------------------

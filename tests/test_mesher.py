@@ -1,11 +1,14 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conetorsion import (GAMMA0, GAMMA1, MeshError, domain_area,
-                         gamma0_length, read_mesh, rectangle_mesh, refine,
-                         triangulate, write_mesh)
+from conetorsion import (GAMMA0, GAMMA1, MeshError, boundary_partition,
+                         domain_area, gamma0_length, read_mesh, rectangle_mesh,
+                         refine, triangulate, write_mesh)
+from conetorsion import mesher
+from conetorsion.geometry import polyline_distance
 
 
 def edge_count(mesh):
@@ -114,6 +117,65 @@ def test_refine_without_spec_keeps_tags():
     child = refine(mesh)
     assert child.n_triangles == 4 * mesh.n_triangles
     assert set(child.boundary_tags.tolist()) == {GAMMA0}
+
+
+# ---------------------------------------------------------------------------
+# quadrature distance fields
+# ---------------------------------------------------------------------------
+
+def _segment_counts(monkeypatch):
+    """Segment count of every distance pass the mesh makes from now on."""
+    counts = []
+    kernel = mesher.polyline_distance
+
+    def counting(points, seg_a, seg_b):
+        counts.append(len(seg_a))
+        return kernel(points, seg_a, seg_b)
+
+    monkeypatch.setattr(mesher, "polyline_distance", counting)
+    return counts
+
+
+def _one_pass(mesh, seg_a, seg_b):
+    xy = mesh.quadrature_points().reshape(-1, 2)
+    return polyline_distance(xy, seg_a, seg_b).reshape(7, -1)
+
+
+@pytest.mark.parametrize("gamma0_first", [False, True])
+@pytest.mark.parametrize("refined", [False, True])
+def test_cone_distances_reuse_the_gamma0_field(pert_quarter_spec, monkeypatch,
+                                               refined, gamma0_first):
+    mesh = triangulate(pert_quarter_spec, 0.1)
+    if refined:
+        mesh = refine(mesh)
+    part = boundary_partition(pert_quarter_spec)
+    a, b, _ = part.all_segments()
+    a0, b0 = part.gamma0.segments()
+    counts = _segment_counts(monkeypatch)
+    requests = [(a0, b0), (a, b)] if gamma0_first else [(a, b), (a0, b0)]
+    got = [mesh.quadrature_distances(*seg) for seg in requests]
+    for dist, seg in zip(got, requests):
+        assert np.array_equal(dist, _one_pass(mesh, *seg))
+    # one pass over GAMMA0 and one over the two legs, in either order
+    assert counts == [len(a0), 2]
+
+
+def test_distances_without_a_gamma0_prefix_take_one_pass(
+        pert_quarter_spec, pert_disk_spec, monkeypatch):
+    disk = triangulate(pert_disk_spec, 0.2)
+    quarter = triangulate(pert_quarter_spec, 0.1)
+    a, b, _ = boundary_partition(pert_quarter_spec).all_segments()
+    nudged = a.copy()
+    nudged[3, 0] = np.nextafter(nudged[3, 0], np.inf)    # one ULP off GAMMA0
+    cases = [(disk, boundary_partition(pert_disk_spec).all_segments()[:2]),
+             (replace(quarter, spec=None), (a, b)),
+             (quarter, (nudged, b))]
+    counts = _segment_counts(monkeypatch)
+    for mesh, (seg_a, seg_b) in cases:
+        counts.clear()
+        dist = mesh.quadrature_distances(seg_a, seg_b)
+        assert counts == [len(seg_a)]
+        assert np.array_equal(dist, _one_pass(mesh, seg_a, seg_b))
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,34 @@ def test_sparse_matches_dense_eigensolve(disk_spec):
     np.testing.assert_allclose(sparse_vals, dense_vals[:4], atol=1e-8)
 
 
+@pytest.mark.parametrize("shape", ["square", "disk"])
+def test_mu_on_a_double_eigenvalue_matches_the_dense_oracle(disk_spec, shape):
+    # the first positive eigenvalue is double on both; the default k = 2
+    # eigensolve must still return the constant mode and that value
+    mesh = rectangle_mesh(40, 40) if shape == "square" else triangulate(disk_spec, 0.12)
+    A, M = _p1_matrices(mesh, 0.0, *_boundary_segments(mesh))
+    dense = scipy.linalg.eigh(A.toarray(), M.toarray(), eigvals_only=True,
+                              subset_by_index=[0, 2])
+    assert dense[2] - dense[1] <= 1e-7 * dense[1]
+    vals = _smallest_eigs(A, M)
+    assert len(vals) == 2 and abs(vals[0]) <= 1e-10
+    assert mu_estimate(mesh, 0.0).value == pytest.approx(math.sqrt(dense[1]),
+                                                         rel=1e-12)
+
+
+def test_mu_without_a_constant_mode_raises(disk_spec, monkeypatch):
+    from conetorsion import poincare
+    matrices = poincare._p1_matrices
+
+    def shifted(*args):        # A + M has no kernel: its spectrum starts at 1
+        A, M = matrices(*args)
+        return A + M, M
+
+    monkeypatch.setattr(poincare, "_p1_matrices", shifted)
+    with pytest.raises(poincare.EigenError, match="constant mode missing"):
+        mu_estimate(triangulate(disk_spec, 0.2), 0.0)
+
+
 def test_constant_mode_excluded(disk_spec):
     mesh = triangulate(disk_spec, 0.1)
     est = mu_estimate(mesh, 0.0)
@@ -188,6 +216,31 @@ def test_eta_ablation_admits_constants(quarter_spec):
     assert eta_estimate(mesh, part, span, 0.0, drop_constraint=True).value ** 2 <= 1e-8
 
 
+def test_eta_ablation_admits_the_constant_on_the_half_disk(half_spec):
+    # k = 1: a one-dimensional kernel, so the k = 2 eigensolve holds one zero
+    part = boundary_partition(half_spec)
+    span = normal_span(part)
+    mesh = triangulate(half_spec, 0.1)
+    assert eta_estimate(mesh, part, span, 0.0, drop_constraint=True).value ** 2 <= 1e-8
+
+
+def test_eta_with_an_indefinite_stiffness_raises(quarter_spec, monkeypatch):
+    from conetorsion import poincare
+    part = boundary_partition(quarter_spec)
+    span = normal_span(part)
+    mesh = triangulate(quarter_spec, 0.1)
+    lam0 = eta_estimate(mesh, part, span, 0.0).value ** 2
+    matrices = poincare._p1_matrices
+
+    def indefinite(*args):     # moves the leading eigenvalue to -1
+        A, M = matrices(*args)
+        return A - (lam0 + 1.0) * M, M
+
+    monkeypatch.setattr(poincare, "_p1_matrices", indefinite)
+    with pytest.raises(poincare.EigenError, match="negative leading eigenvalue"):
+        eta_estimate(mesh, part, span, 0.0)
+
+
 
 def _constraint_basis_oracle(mesh, span, drop_constraint):
     """The earlier node-by-node construction of Z, kept as the oracle."""
@@ -292,3 +345,51 @@ def test_mixed_check_perturbed_disk(pert_disk_solve, alpha):
 def test_mixed_check_perturbed_quarter(pert_quarter_solve, alpha):
     chk = _check(pert_quarter_solve, alpha)
     assert chk.margin >= -1e-3 * chk.rhs
+
+
+# ---------------------------------------------------------------------------
+# work counts
+# ---------------------------------------------------------------------------
+
+def test_mu_shift_invert_solves_are_capped(disk_spec, monkeypatch):
+    # 72 solves with k = 2 near sigma = -0.1; asking for 4 eigenvalues near
+    # sigma = -1 took 164
+    from conetorsion import poincare
+    solves = []
+    factor = poincare.factor_spd
+
+    def counting_factor(A):
+        lu = factor(A)
+
+        class Counting:
+            def solve(self, b):
+                solves.append(1)
+                return lu.solve(b)
+
+        return Counting()
+
+    monkeypatch.setattr(poincare, "factor_spd", counting_factor)
+    mu_estimate(triangulate(disk_spec, 0.1), 1.0)
+    assert 0 < len(solves) <= 100
+
+
+def test_cone_pipeline_evaluates_each_gamma0_pair_once(pert_quarter_spec,
+                                                       monkeypatch):
+    from conetorsion import fem, mesher
+    from conetorsion.quantities import u_distance_bounds
+    part = boundary_partition(pert_quarter_spec)
+    mesh = triangulate(pert_quarter_spec, 0.1)
+    u = fem.solve(fem.assemble(mesh, 2))
+    passes = []
+    kernel = mesher.polyline_distance
+
+    def counting(points, seg_a, seg_b):
+        passes.append((len(points), len(seg_a)))
+        return kernel(points, seg_a, seg_b)
+
+    monkeypatch.setattr(mesher, "polyline_distance", counting)
+    seg = part.all_segments()
+    mu_estimate(mesh, 1.0, boundary=(seg[0], seg[1]))
+    u_distance_bounds(u, pert_quarter_spec, r_i=1.0)
+    n_points, n_gamma0 = 7 * mesh.n_triangles, len(part.gamma0.segments()[0])
+    assert passes == [(n_points, n_gamma0), (n_points, 2)]
