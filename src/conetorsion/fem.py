@@ -9,8 +9,9 @@ gradient-only Taylor step toward the analytic boundary, which restores the
 cubic L2 accuracy of P2 that the polygonal O(h^2) boundary gap would
 otherwise cap at quadratic order (see tests for the measured rates).
 
-Large systems on shape-regular meshes are solved by CG with a two-level
-P2 -> P1 preconditioner on the same mesh (p-multigrid); others by LU.
+Systems above the measured direct/CG crossover (12,000 free dofs) on
+shape-regular meshes are solved by CG with a two-level P2 -> P1
+preconditioner on the same mesh (p-multigrid); others by LU.
 """
 
 from __future__ import annotations
@@ -311,8 +312,9 @@ class FemField:
 # solve
 # ---------------------------------------------------------------------------
 
-# CG path: min free dofs, min angle (degrees; ROADMAP item 1 table), stopping
-_CG_MIN_DOFS, _CG_MIN_ANGLE = 40_000, 20.0
+# CG path: min free dofs, min angle (degrees), stopping; the measured direct/CG
+# crossover (ROADMAP, Settled, "CG selection" table)
+_CG_MIN_DOFS, _CG_MIN_ANGLE = 12_000, 20.0
 _CG_RTOL, _CG_MAX_ITER = 1e-12, 100
 
 

@@ -369,7 +369,7 @@ def test_solve_records_the_factor_fill(quarter_solve):
 
 
 # ---------------------------------------------------------------------------
-# two-level CG path (tests lower fem._CG_MIN_DOFS to route small systems)
+# two-level CG path (tests move fem._CG_MIN_DOFS to route a system)
 # ---------------------------------------------------------------------------
 
 def test_prolongation_maps_p1_interpolants_to_p2_interpolants(quarter_solve):
@@ -387,15 +387,16 @@ def test_prolongation_maps_p1_interpolants_to_p2_interpolants(quarter_solve):
 
 def test_cg_matches_the_direct_solve(pert_quarter_spec, disk_spec, monkeypatch):
     # quarter4 refined once (33,856 free dofs) and the disk3 sweep member
-    # eps = 0.04 at h = 0.025 are both below the size cutoff
+    # eps = 0.04 at h = 0.025 are both above the size cutoff; the reference
+    # raises the cutoff above the system size
     from conetorsion import fem, make_family
     disk3 = make_family(disk_spec, 3, [0.04]).members[1][1]
     for mesh in (refine(triangulate(pert_quarter_spec, 0.025)),
                  triangulate(disk3, 0.025)):
         system = assemble(mesh, 2)
-        direct = solve(system)
-        monkeypatch.setattr(fem, "_CG_MIN_DOFS", 0)
         cg = solve(system)
+        monkeypatch.setattr(fem, "_CG_MIN_DOFS", system.matrix.shape[0] + 1)
+        direct = solve(system)
         monkeypatch.undo()
         assert direct.diagnostics["solver"] == "direct"
         assert direct.diagnostics["cg_iterations"] == []
@@ -439,14 +440,17 @@ def test_a_broken_cycle_fails_the_residual_check(quarter_spec, monkeypatch):
 
 
 def test_small_or_poorly_shaped_systems_keep_the_direct_path(quarter_spec,
+                                                             disk_spec,
                                                              monkeypatch):
-    from conetorsion import FourierRadius, fem, make_sector_domain
+    from conetorsion import FourierRadius, fem, make_family, make_sector_domain
     from conetorsion.fem import factor_spd
     spiky = make_sector_domain(2 * np.pi, FourierRadius(1.0, [(8, 0.3)]), 256)
     small = triangulate(quarter_spec, 0.1)
+    near = triangulate(quarter_spec, 0.019)     # just below the size cutoff
     poor = triangulate(spiky, 0.1)
-    assert poor.min_angle < fem._CG_MIN_ANGLE
-    for mesh, min_dofs in ((small, fem._CG_MIN_DOFS), (poor, 0)):
+    assert poor.min_angle < fem._CG_MIN_ANGLE <= near.min_angle
+    for mesh, min_dofs in ((small, fem._CG_MIN_DOFS), (near, fem._CG_MIN_DOFS),
+                           (poor, 0)):
         monkeypatch.setattr(fem, "_CG_MIN_DOFS", min_dofs)
         system = assemble(mesh, 2)
         u = solve(system, curved_correction=False)
@@ -455,6 +459,13 @@ def test_small_or_poorly_shaped_systems_keep_the_direct_path(quarter_spec,
         assert u.diagnostics["solver"] == "direct"
         assert u.diagnostics["min_angle"] == mesh.min_angle
         assert np.array_equal(u.coeffs[free], factor_spd(A.tocsc()).solve(b))
+        if mesh is near:
+            assert 0.9 * fem._CG_MIN_DOFS < len(free) < fem._CG_MIN_DOFS
+    # a disk3 sweep member at h = 0.025 is above it: CG, with a small coarse factor
+    disk3 = make_family(disk_spec, 3, [0.04]).members[1][1]
+    diag = solve(assemble(triangulate(disk3, 0.025), 2)).diagnostics
+    assert diag["solver"] == "cg"
+    assert diag["lu_nnz"] < 600_000
 
 
 def test_cg_is_identical_across_blas_thread_counts(tmp_path):
