@@ -462,6 +462,7 @@ def test_small_or_poorly_shaped_systems_keep_the_direct_path(quarter_spec,
         if mesh is near:
             assert 0.9 * fem._CG_MIN_DOFS < len(free) < fem._CG_MIN_DOFS
     # a disk3 sweep member at h = 0.025 is above it: CG, with a small coarse factor
+    monkeypatch.undo()
     disk3 = make_family(disk_spec, 3, [0.04]).members[1][1]
     diag = solve(assemble(triangulate(disk3, 0.025), 2)).diagnostics
     assert diag["solver"] == "cg"
