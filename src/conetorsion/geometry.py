@@ -426,17 +426,61 @@ def rho_extremes(partition: BoundaryPartition, z=(0.0, 0.0)):
     return float(np.max(dmax)), float(np.min(dmin))
 
 
-# points per block of polyline_distance: keeps its (block, segments)
-# temporaries in L2 cache for boundaries of a few hundred segments
-_DISTANCE_BLOCK = 64
+# pairs per (points, segments) temporary of polyline_distance: 64 x 512
+# doubles, 256 KiB, which stays in L2 cache
+_PAIR_BUDGET = 1 << 15
+# pruned path: points per block (in Morton order), consecutive segments per
+# block, and the sizes below which the brute-force pass is faster (measured)
+_POINT_BLOCK = 16
+_SEGMENT_BLOCK = 8
+_PRUNE_MIN_POINTS = 4096
+_PRUNE_MIN_SEGMENTS = 64
+# candidate slack: relative, and absolute per squared coordinate extent
+_PRUNE_REL = 1e-9
+_PRUNE_ABS = 4096 * np.finfo(float).eps
+
+
+def _pair(px, py, ax, ay, dx, dy, dd_safe):
+    """Squared distances from the points (px, py) to the segments a + s d,
+    s in [0, 1], broadcast; ``dd_safe`` is |d|^2, or 1 where d = 0."""
+    wx = px - ax
+    wy = py - ay
+    s = np.clip((wx * dx + wy * dy) / dd_safe, 0.0, 1.0)
+    wx -= s * dx
+    wy -= s * dy
+    return wx * wx + wy * wy
 
 
 def polyline_distance(points, seg_a, seg_b) -> np.ndarray:
     """Distance from each point to the nearest of the segments [a_i, b_i].
 
-    Exact brute force over points x segments: the closest point on segment i
-    is a_i + s (b_i - a_i) with s clipped to [0, 1].  The x and y components
-    are kept in separate (block, segments) arrays.
+    Exact: the closest point on segment i is a_i + s d_i, d_i = b_i - a_i,
+    with s clipped to [0, 1].  Every evaluated pair goes through ``_pair``,
+    and the result is bit-identical to evaluating every pair.
+
+    Fewer than ``_PRUNE_MIN_POINTS`` points or ``_PRUNE_MIN_SEGMENTS``
+    segments take that brute-force pass.  Larger inputs are pruned.  The
+    points are sorted in Morton order and cut into blocks of ``_POINT_BLOCK``;
+    the segments are cut into runs of ``_SEGMENT_BLOCK`` with axis-aligned
+    boxes.  For a point block, U is the largest over its points of the
+    computed squared distance to the segment block whose box is nearest the
+    block's centre, and L_B is the box-to-box squared distance to block B.
+    Only the blocks with L_B <= U (1 + 1e-9) + 4096 eps E^2 are evaluated,
+    E being the coordinate extent of points and segments.
+
+    Why the result is unchanged: let segment j, in block B, give a point's
+    computed minimum D.  Then D <= U, because U bounds that point's computed
+    minimum over the nearest block.  The exact squared distance from the
+    point to segment j is at least the exact L_B, and at most D plus the
+    rounding of the pair arithmetic (and of d = b - a), below 40 eps E^2,
+    since every vector in it is shorter than 3E.  The computed L_B exceeds
+    the exact one by a relative 3 eps at most.  So block B is evaluated, the
+    minimum is taken over a superset of the pairs that attain it with the
+    same arithmetic, and sqrt is monotone.  A relative slack alone would not
+    do: a point 1e-4 from the boundary has U ~ 1e-8, while the rounding is
+    about 1e-16 E^2.  Inputs whose slack 4096 eps E^2 is not a normal float
+    (non-finite, overflowing or subnormal coordinates) take the brute-force
+    pass.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     seg_a = np.asarray(seg_a, dtype=float)
@@ -444,16 +488,89 @@ def polyline_distance(points, seg_a, seg_b) -> np.ndarray:
     ax, ay = seg_a[:, 0], seg_a[:, 1]
     dx, dy = seg_b[:, 0] - ax, seg_b[:, 1] - ay
     dd = dx * dx + dy * dy
-    dd_safe = np.where(dd > 0, dd, 1.0)
+    seg = np.stack([ax, ay, dx, dy, np.where(dd > 0, dd, 1.0)])
+    if len(points) >= _PRUNE_MIN_POINTS and len(seg_a) >= _PRUNE_MIN_SEGMENTS:
+        lo = np.minimum(points.min(axis=0), np.minimum(seg_a.min(axis=0),
+                                                       seg_b.min(axis=0)))
+        hi = np.maximum(points.max(axis=0), np.maximum(seg_a.max(axis=0),
+                                                       seg_b.max(axis=0)))
+        extent = float((hi - lo).max())
+        margin = _PRUNE_ABS * extent * extent
+        if np.finfo(float).tiny <= margin < np.inf:
+            return _pruned_distance(points, seg_a, seg_b, seg, lo, extent, margin)
     out = np.empty(len(points))
-    for lo in range(0, len(points), _DISTANCE_BLOCK):
-        p = points[lo:lo + _DISTANCE_BLOCK]
-        wx = p[:, 0:1] - ax
-        wy = p[:, 1:2] - ay
-        s = np.clip((wx * dx + wy * dy) / dd_safe, 0.0, 1.0)
-        wx -= s * dx
-        wy -= s * dy
-        out[lo:lo + _DISTANCE_BLOCK] = np.sqrt((wx * wx + wy * wy).min(axis=1))
+    block = max(1, _PAIR_BUDGET // max(1, len(seg_a)))
+    for i in range(0, len(points), block):
+        p = points[i:i + block]
+        out[i:i + block] = np.sqrt(_pair(p[:, 0:1], p[:, 1:2], *seg).min(axis=1))
+    return out
+
+
+def _box_gap2(xmin, xmax, ymin, ymax, box) -> np.ndarray:
+    """(len(xmin), len(box[0])) squared distances between the boxes
+    [xmin, xmax] x [ymin, ymax] and the boxes in ``box``."""
+    bx0, bx1, by0, by1 = box
+    gx = np.maximum(np.maximum(bx0 - xmax[:, None], xmin[:, None] - bx1), 0.0)
+    gy = np.maximum(np.maximum(by0 - ymax[:, None], ymin[:, None] - by1), 0.0)
+    return gx * gx + gy * gy
+
+
+def _morton_order(points, lo, extent) -> np.ndarray:
+    """Permutation that sorts the points along a Z-order curve, 16 bits per axis."""
+    code = np.zeros(len(points), dtype=np.uint32)
+    for axis in (0, 1):
+        v = ((points[:, axis] - lo[axis]) * (65535.0 / extent)).astype(np.uint32)
+        for shift, mask in ((8, 0x00FF00FF), (4, 0x0F0F0F0F), (2, 0x33333333),
+                            (1, 0x55555555)):
+            v = (v | (v << shift)) & mask
+        code |= v << axis
+    return np.argsort(code)
+
+
+def _pruned_distance(points, seg_a, seg_b, seg, lo, extent, margin) -> np.ndarray:
+    """The pruned pass of ``polyline_distance``; ``seg`` stacks its
+    (ax, ay, dx, dy, dd_safe) and ``margin`` is its absolute slack."""
+    n, m = len(points), len(seg_a)
+    nbp, nbs = -(-n // _POINT_BLOCK), -(-m // _SEGMENT_BLOCK)
+    # pad both block sets with copies of their last member
+    order = _morton_order(points, lo, extent)[
+        np.minimum(np.arange(nbp * _POINT_BLOCK), n - 1)]
+    pad = np.minimum(np.arange(nbs * _SEGMENT_BLOCK), m - 1)
+    sb = seg[:, pad].reshape(5, nbs, _SEGMENT_BLOCK)
+    ends = np.stack([seg_a[pad], seg_b[pad]], axis=1).reshape(nbs, -1, 2)
+    box = (ends[..., 0].min(1), ends[..., 0].max(1),
+           ends[..., 1].min(1), ends[..., 1].max(1))
+    # candidate widths: powers of two below nbs, then nbs
+    widths = np.unique(np.minimum(1 << np.arange(nbs.bit_length() + 1), nbs))
+    group = max(1, _PAIR_BUDGET // max(nbs, _POINT_BLOCK * _SEGMENT_BLOCK))
+    out = np.empty(n)
+    for g in range(0, nbp, group):
+        idx = order[g * _POINT_BLOCK:(g + group) * _POINT_BLOCK]
+        px = points[idx, 0].reshape(-1, _POINT_BLOCK)
+        py = points[idx, 1].reshape(-1, _POINT_BLOCK)
+        xmin, xmax, ymin, ymax = px.min(1), px.max(1), py.min(1), py.max(1)
+        cx, cy = 0.5 * (xmin + xmax), 0.5 * (ymin + ymax)
+        near = _box_gap2(cx, cx, cy, cy, box).argmin(axis=1)
+        # points innermost: loops over 16 points rather than 8 segments
+        gbest = _pair(px[:, None], py[:, None], *sb[:, near, :, None]).min(axis=1)
+        upper = gbest.max(axis=1) * (1.0 + _PRUNE_REL) + margin
+        cand = ~(_box_gap2(xmin, xmax, ymin, ymax, box) > upper[:, None])
+        cand[np.arange(len(near)), near] = False
+        count = cand.sum(axis=1)
+        ranked = np.argsort(~cand, axis=1, kind="stable")   # candidates first
+        width = widths[np.searchsorted(widths, count)]
+        for k in np.unique(width[count > 0]):
+            rows = np.flatnonzero((width == k) & (count > 0))
+            # pad each row's candidates with its first one
+            blocks = np.where(np.arange(k) < count[rows, None],
+                              ranked[rows, :k], ranked[rows, :1])
+            step = max(1, _PAIR_BUDGET // (k * _POINT_BLOCK * _SEGMENT_BLOCK))
+            for i in range(0, len(rows), step):
+                r = rows[i:i + step]
+                s = sb[:, blocks[i:i + step]].reshape(5, len(r), 1, -1)
+                d2 = _pair(px[r, :, None], py[r, :, None], *s)
+                gbest[r] = np.minimum(gbest[r], d2.min(axis=2))
+        out[idx] = np.sqrt(gbest).ravel()
     return out
 
 

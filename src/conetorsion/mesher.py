@@ -29,6 +29,24 @@ class MeshError(RuntimeError):
     """Mesh generation failed (degenerate spec or unattainable target)."""
 
 
+def _edge_vectors(V: np.ndarray, T: np.ndarray):
+    return V[T[:, 1]] - V[T[:, 0]], V[T[:, 2]] - V[T[:, 1]], V[T[:, 0]] - V[T[:, 2]]
+
+
+def _areas(V: np.ndarray, T: np.ndarray) -> np.ndarray:
+    e01, _, e20 = _edge_vectors(V, T)
+    return 0.5 * (e01[:, 0] * (-e20[:, 1]) - e01[:, 1] * (-e20[:, 0]))
+
+
+def _h_max(V: np.ndarray, T: np.ndarray) -> float:
+    return float(max(np.linalg.norm(e, axis=1).max() for e in _edge_vectors(V, T)))
+
+
+def _check_orientation(V: np.ndarray, T: np.ndarray) -> None:
+    if not np.all(_areas(V, T) > 0):
+        raise MeshError("degenerate (inverted) triangles produced")
+
+
 @dataclass(frozen=True)
 class TaggedMesh:
     """Triangulation with oriented, tagged boundary edges.
@@ -57,18 +75,13 @@ class TaggedMesh:
     def n_triangles(self) -> int:
         return len(self.triangles)
 
-    def edge_vectors(self):
-        v, t = self.vertices, self.triangles
-        return v[t[:, 1]] - v[t[:, 0]], v[t[:, 2]] - v[t[:, 1]], v[t[:, 0]] - v[t[:, 2]]
-
     @property
     def areas(self) -> np.ndarray:
-        e01, _, e20 = self.edge_vectors()
-        return 0.5 * (e01[:, 0] * (-e20[:, 1]) - e01[:, 1] * (-e20[:, 0]))
+        return _areas(self.vertices, self.triangles)
 
     @property
     def h_max(self) -> float:
-        return float(max(np.linalg.norm(e, axis=1).max() for e in self.edge_vectors()))
+        return _h_max(self.vertices, self.triangles)
 
     @property
     def min_angle(self) -> float:
@@ -252,10 +265,11 @@ def triangulate(spec: DomainSpec, h_target: float) -> TaggedMesh:
     n = max(2, math.ceil(r_max / h_target))
     for _ in range(8):
         V, T = _ring_mesh(spec, n)
-        mesh = _finalize(spec, V, T)
-        if mesh.h_max <= 1.5 * h_target:
-            return _grade_corners(mesh, CORNER_FLOOR * h_target)
-        n = math.ceil(n * mesh.h_max / (1.4 * h_target))
+        h_max = _h_max(V, T)
+        if h_max <= 1.5 * h_target:
+            return _grade_corners(_finalize(spec, V, T), CORNER_FLOOR * h_target)
+        _check_orientation(V, T)     # a rejected attempt raises as _finalize would
+        n = math.ceil(n * h_max / (1.4 * h_target))
     raise MeshError("could not reach the mesh-size target")
 
 
@@ -335,15 +349,13 @@ def _grade_corners(mesh: TaggedMesh, h_floor: float) -> TaggedMesh:
 
 
 def _finalize(spec: DomainSpec | None, V: np.ndarray, T: np.ndarray) -> TaggedMesh:
+    _check_orientation(V, T)
     edges = boundary_edges_of(T)
     if spec is not None:
         tags = _tag_edges(spec, V, edges)
     else:
         tags = np.full(len(edges), GAMMA0, dtype=np.int64)
-    mesh = TaggedMesh(V, T, edges, tags, spec)
-    if not np.all(mesh.areas > 0):
-        raise MeshError("degenerate (inverted) triangles produced")
-    return mesh
+    return TaggedMesh(V, T, edges, tags, spec)
 
 
 def refine(mesh: TaggedMesh) -> TaggedMesh:

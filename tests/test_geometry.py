@@ -12,8 +12,9 @@ from conetorsion import (ConstantRadius, DomainError, FourierRadius,
                          domain_diameter, gamma0_length, interior_sphere_radius,
                          make_sector_domain, normal_span, offset_disk_radius,
                          parse_radius_spec, polar_curvature, rho_extremes,
-                         serrin_radius)
-from conetorsion.geometry import _DISTANCE_BLOCK, polyline_distance
+                         serrin_radius, triangulate)
+from conetorsion import geometry
+from conetorsion.geometry import _PAIR_BUDGET, polyline_distance
 
 # frozen quadrature oracle values for r(t) = 1 + 0.05 cos 3t
 PERT_DISK_AREA = 3.14551964440678
@@ -292,11 +293,16 @@ def _einsum_polyline_distance(points, seg_a, seg_b, chunk=4096):
     return out
 
 
-@pytest.mark.parametrize("n_points", [1, _DISTANCE_BLOCK, 3 * _DISTANCE_BLOCK + 5])
+# 512 segments: the brute-force pass then takes _PAIR_BUDGET // 512 = 64 points
+# per block
+_BRUTE_BLOCK = _PAIR_BUDGET // 512
+
+
+@pytest.mark.parametrize("n_points", [1, _BRUTE_BLOCK, 3 * _BRUTE_BLOCK + 5])
 def test_polyline_distance_bit_identical_to_einsum_kernel(n_points):
     rng = np.random.default_rng(n_points)
-    seg_a = rng.normal(size=(37, 2))
-    seg_b = rng.normal(size=(37, 2))
+    seg_a = rng.normal(size=(512, 2))
+    seg_b = rng.normal(size=(512, 2))
     seg_b[3] = seg_a[3]                       # zero-length segment
     points = rng.normal(size=(n_points, 2))
     points[0] = seg_a[5]                      # exactly on segment endpoints
@@ -312,6 +318,85 @@ def test_polyline_distance_empty_input():
     seg = np.array([[0.0, 0.0], [1.0, 0.0]])
     out = polyline_distance(np.zeros((0, 2)), seg[:1], seg[1:])
     assert out.shape == (0,)
+
+
+def _pair_shapes(monkeypatch):
+    """Shape of every pair batch ``polyline_distance`` evaluates from now on."""
+    shapes = []
+    pair = geometry._pair
+
+    def counting(*args):
+        d2 = pair(*args)
+        shapes.append(d2.shape)
+        return d2
+
+    monkeypatch.setattr(geometry, "_pair", counting)
+    return shapes
+
+
+def _pruned_input(case, scale):
+    """4,109 points and 133 segments (neither a multiple of its block size),
+    large enough for the pruned pass."""
+    rng = np.random.default_rng(7)
+    n, m = 4109, 133
+    t = np.linspace(0.0, 2 * np.pi, m + 1)
+    v = (1 + 0.05 * np.cos(3 * t))[:, None] * np.stack([np.cos(t), np.sin(t)], 1)
+    seg_a, seg_b = v[:-1].copy(), v[1:].copy()
+    seg_b[[5, 60]] = seg_a[[5, 60]]                   # zero-length segments
+    points = rng.uniform(-1.1, 1.1, size=(n, 2))
+    # a quarter exactly on segments, a quarter 1e-12 off them, and endpoints
+    j, s = rng.integers(0, m, n // 2), rng.random((n // 2, 1))
+    points[:n // 2] = seg_a[j] + s * (seg_b[j] - seg_a[j])
+    points[n // 4:n // 2] += 1e-12 * rng.normal(size=(n // 2 - n // 4, 2))
+    points[:m] = seg_a
+    if case == "shuffled":
+        order = rng.permutation(m)
+        seg_a, seg_b = seg_a[order], seg_b[order]
+    elif case == "far":
+        # so far that every segment block stays a candidate
+        points = 1e10 * rng.normal(size=(n, 2))
+    return scale * points, scale * seg_a, scale * seg_b
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+@pytest.mark.parametrize("case", ["polyline", "shuffled", "far"])
+def test_pruned_polyline_distance_bit_identical_to_einsum_kernel(monkeypatch,
+                                                                 case, scale):
+    points, seg_a, seg_b = _pruned_input(case, scale)
+    shapes = _pair_shapes(monkeypatch)
+    got = polyline_distance(points, seg_a, seg_b)
+    assert np.array_equal(got, _einsum_polyline_distance(points, seg_a, seg_b))
+    assert any(len(shape) == 3 for shape in shapes)    # the pruned pass ran
+    if case == "far":
+        assert sum(math.prod(shape) for shape in shapes) >= len(points) * len(seg_a)
+    else:
+        assert np.all(got[:len(seg_a)] == 0.0)
+
+
+@pytest.fixture(scope="module")
+def disk3_quadrature():
+    """The sweep's mu weight field input: the quadrature points of the unit
+    disk's h = 0.025 mesh (105,000) and its 512 GAMMA0 segments."""
+    spec = make_sector_domain(2 * math.pi, ConstantRadius(1.0), 512)
+    points = triangulate(spec, 0.025).quadrature_points().reshape(-1, 2)
+    return (points, *boundary_partition(spec).gamma0.segments())
+
+
+def test_pruned_polyline_distance_on_the_disk3_mesh(disk3_quadrature):
+    got = polyline_distance(*disk3_quadrature)
+    want = _einsum_polyline_distance(*disk3_quadrature, chunk=256)
+    assert np.array_equal(got, want)
+
+
+def test_polyline_distance_prunes_on_the_disk3_mesh(disk3_quadrature,
+                                                    monkeypatch):
+    points, seg_a, _ = disk3_quadrature
+    assert (len(points), len(seg_a)) == (105_000, 512)
+    shapes = _pair_shapes(monkeypatch)
+    polyline_distance(*disk3_quadrature)
+    evaluated = sum(math.prod(shape) for shape in shapes)
+    # measured: 13.2 % of the 53.76M pairs
+    assert 0 < evaluated <= 0.25 * len(points) * len(seg_a)
 
 
 # ---------------------------------------------------------------------------

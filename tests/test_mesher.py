@@ -79,6 +79,45 @@ def test_rejects_h_target_beyond_diameter(quarter_spec):
         triangulate(quarter_spec, 10.0)
 
 
+def _spy_attempts(monkeypatch, invert_first=False):
+    """Ring counts tried and triangle counts finalized by ``triangulate``."""
+    rings, finalized = [], []
+    ring_mesh, finalize = mesher._ring_mesh, mesher._finalize
+
+    def spy_ring_mesh(spec, n):
+        V, T = ring_mesh(spec, n)
+        rings.append(n)
+        return (V, T[:, [0, 2, 1]]) if invert_first and len(rings) == 1 else (V, T)
+
+    def spy_finalize(spec, V, T):
+        finalized.append(len(T))
+        return finalize(spec, V, T)
+
+    monkeypatch.setattr(mesher, "_ring_mesh", spy_ring_mesh)
+    monkeypatch.setattr(mesher, "_finalize", spy_finalize)
+    return rings, finalized
+
+
+def test_triangulate_finalizes_only_the_accepted_ring_mesh(disk_spec, monkeypatch):
+    ring_mesh, finalize = mesher._ring_mesh, mesher._finalize
+    rings, finalized = _spy_attempts(monkeypatch)
+    mesh = triangulate(disk_spec, 0.025)
+    # the first ring count, ceil(r_max / h), misses h_max <= 1.5 h
+    assert rings == [40, 50]
+    assert finalized == [mesh.n_triangles]
+    want = finalize(disk_spec, *ring_mesh(disk_spec, 50))
+    for name in ("vertices", "triangles", "boundary_edges", "boundary_tags"):
+        assert np.array_equal(getattr(mesh, name), getattr(want, name))
+
+
+def test_triangulate_checks_orientation_on_a_rejected_ring_mesh(disk_spec,
+                                                                monkeypatch):
+    rings, _ = _spy_attempts(monkeypatch, invert_first=True)
+    with pytest.raises(MeshError, match="inverted"):
+        triangulate(disk_spec, 0.025)
+    assert rings == [40]
+
+
 # ---------------------------------------------------------------------------
 # refinement
 # ---------------------------------------------------------------------------
