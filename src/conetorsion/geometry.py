@@ -463,8 +463,9 @@ def polyline_distance(points, seg_a, seg_b) -> np.ndarray:
     points are sorted in Morton order and cut into blocks of ``_POINT_BLOCK``;
     the segments are cut into runs of ``_SEGMENT_BLOCK`` with axis-aligned
     boxes.  For a point block, U is the largest over its points of the
-    computed squared distance to the segment block whose box is nearest the
-    block's centre, and L_B is the box-to-box squared distance to block B.
+    computed squared distance to the nearest segment of the segment block
+    whose box is nearest the block's centre, and L_B is the box-to-box
+    squared distance to segment block B.
     Only the blocks with L_B <= U (1 + 1e-9) + 4096 eps E^2 are evaluated,
     E being the coordinate extent of points and segments.
 
