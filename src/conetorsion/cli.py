@@ -247,6 +247,8 @@ def cmd_identity(cfg: RunConfig, out_dir: str, strict: bool) -> int:
 def cmd_poincare(cfg: RunConfig, out_dir: str) -> int:
     part = boundary_partition(cfg.spec)
     span = normal_span(part)
+    if "eta" in cfg.kinds and span.k == 0:
+        raise ConfigError("eta needs a domain with GAMMA1 (k >= 1)")
     mesh = triangulate(cfg.spec, cfg.h_target)
     seg = part.all_segments()
     rows = ["kind,alpha,level,value,converged_flag"]
@@ -256,8 +258,6 @@ def cmd_poincare(cfg: RunConfig, out_dir: str) -> int:
                 est = poincare.mu_estimate(mesh, alpha, levels=cfg.poincare_levels,
                                            boundary=(seg[0], seg[1]))
             else:
-                if span.k == 0:
-                    raise ConfigError("eta needs a domain with GAMMA1 (k >= 1)")
                 est = poincare.eta_estimate(mesh, part, span, alpha,
                                             levels=cfg.poincare_levels)
             for level in range(len(est.history)):

@@ -228,19 +228,15 @@ class FemField:
     """
 
     def __init__(self, mesh: TaggedMesh, degree: int, coeffs: np.ndarray,
-                 dofmap: DofMap | None = None):
+                 dofmap: DofMap):
         self.mesh = mesh
         self.degree = degree
         self.coeffs = np.asarray(coeffs, dtype=float)
-        self.dofmap = dofmap if dofmap is not None else build_dofmap(mesh, degree)
+        self.dofmap = dofmap
         self.diagnostics = {}
         self._G, self._areas = bary_gradients(mesh)
         self._vertex_gradients = None
         self._hessians = None
-
-    @property
-    def node_xy(self) -> np.ndarray:
-        return self.dofmap.node_xy
 
     def values(self, elements, lam) -> np.ndarray:
         """Field values on the given elements at barycentric points."""
@@ -280,32 +276,6 @@ class FemField:
                     + np.einsum("ex,ey->exy", G[:, b], G[:, a]))
             self._hessians = H
         return self._hessians
-
-    def locate(self, points) -> tuple[np.ndarray, np.ndarray]:
-        """Element index and barycentric coordinates of physical points."""
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        V, T = self.mesh.vertices, self.mesh.triangles
-        p0 = V[T[:, 0]]
-        inv = self._G[:, 1:]
-        elems = np.empty(len(points), dtype=np.int64)
-        lams = np.empty((len(points), 3))
-        for i, p in enumerate(points):
-            lam12 = np.einsum("exy,ey->ex", inv, p - p0)
-            lam0 = 1.0 - lam12.sum(axis=1)
-            lam = np.column_stack([lam0, lam12])
-            e = int(np.argmax(lam.min(axis=1)))
-            elems[i] = e
-            lams[i] = lam[e]
-        return elems, lams
-
-    def eval_points(self, points) -> np.ndarray:
-        elems, lams = self.locate(points)
-        return self.values(elems, lams)
-
-    def energy(self) -> float:
-        """Dirichlet energy int |grad u|^2."""
-        g = self.gradients(np.arange(self.mesh.n_triangles), TRI_POINTS[:, None])
-        return float(np.sum(self._areas * (TRI_WEIGHTS @ np.einsum("qex,qex->qe", g, g))))
 
 
 # ---------------------------------------------------------------------------
@@ -495,48 +465,9 @@ def solve(system: LinearSystem, curved_correction: bool = True) -> FemField:
     return field
 
 
-def galerkin_residual(system: LinearSystem, field: FemField) -> float:
-    """Max weak-form residual against the free basis functions (scaled)."""
-    fixed = system.dirichlet
-    free = np.setdiff1d(np.arange(system.matrix.shape[0]), fixed,
-                        assume_unique=True)
-    r = system.matrix @ field.coeffs - system.load
-    scale = max(float(np.abs(system.load).max()), 1e-30)
-    return float(np.abs(r[free]).max()) / scale
-
-
-# ---------------------------------------------------------------------------
-# error norms against analytic functions
-# ---------------------------------------------------------------------------
-
-def l2_error(field: FemField, exact) -> float:
-    """L2 distance to a callable exact(x, y) -> value."""
-    xy = field.mesh.quadrature_points()
-    vals = field.values(np.arange(field.mesh.n_triangles), TRI_POINTS[:, None])
-    diff = vals - exact(xy[..., 0], xy[..., 1])
-    return float(np.sqrt(np.sum(field._areas * (TRI_WEIGHTS @ diff**2))))
-
-
-def h1_seminorm_error(field: FemField, exact_grad) -> float:
-    """H1 seminorm distance to a callable exact_grad(x, y) -> (gx, gy)."""
-    xy = field.mesh.quadrature_points()
-    g = field.gradients(np.arange(field.mesh.n_triangles), TRI_POINTS[:, None])
-    gx, gy = exact_grad(xy[..., 0], xy[..., 1])
-    diff2 = (g[..., 0] - gx) ** 2 + (g[..., 1] - gy) ** 2
-    return float(np.sqrt(np.sum(field._areas * (TRI_WEIGHTS @ diff2))))
-
-
-def interpolate(mesh: TaggedMesh, degree: int, fn) -> FemField:
-    """Nodal interpolant of fn(x, y); exact for quadratics when degree = 2."""
-    dofmap = build_dofmap(mesh, degree)
-    xy = dofmap.node_xy
-    return FemField(mesh, degree, np.asarray(fn(xy[:, 0], xy[:, 1]), dtype=float),
-                    dofmap)
-
-
 def write_solution(field: FemField, path) -> None:
     """Nodal values aligned with the mesh export (vertices first, then edges)."""
     with open(path, "w", encoding="ascii") as f:
         f.write(f"NODAL_VALUES {len(field.coeffs)} degree {field.degree}\n")
-        for (x, y), c in zip(field.node_xy, field.coeffs):
+        for (x, y), c in zip(field.dofmap.node_xy, field.coeffs):
             f.write(f"{x:.17g} {y:.17g} {c:.17g}\n")

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 from scipy.spatial.distance import pdist
 
@@ -271,17 +270,6 @@ class DomainSpec:
         t = self.clamp_angle(np.arctan2(points[..., 1], points[..., 0]))
         return self.gamma0_point(t)
 
-    def rotated(self, phi: float) -> "DomainSpec":
-        """Rotate the whole configuration; only meaningful without legs."""
-        if not self.cone.is_full_plane:
-            raise DomainError("rigid rotation is only representable for beta = 2*pi")
-        def shifted(fn):
-            return lambda t: fn(np.mod(t - phi, TWO_PI))
-
-        base = self.radius_fn
-        fn = CallableRadius(shifted(base), shifted(base.deriv), shifted(base.deriv2))
-        return DomainSpec(self.cone, fn, self.sample_count)
-
 
 @dataclass(frozen=True)
 class Polyline:
@@ -397,11 +385,11 @@ def normal_span(partition: BoundaryPartition, tol: float = 1e-10) -> SpanInfo:
     return SpanInfo(k, rotation[:k], rotation)
 
 
-def serrin_radius(area: float, gamma0_length: float, N: int = 2) -> float:
-    """Candidate ball radius N*|domain| / |GAMMA0|."""
+def serrin_radius(area: float, gamma0_length: float) -> float:
+    """Candidate ball radius N*|domain| / |GAMMA0|, N = 2."""
     if area <= 0 or gamma0_length <= 0:
         raise DomainError("area and GAMMA0 length must be positive")
-    return N * area / gamma0_length
+    return 2 * area / gamma0_length
 
 
 def segment_extremes(a, b, z):
@@ -417,13 +405,6 @@ def segment_extremes(a, b, z):
     dmin = np.linalg.norm(closest - z, axis=1)
     dend = np.maximum(np.linalg.norm(a - z, axis=1), np.linalg.norm(b - z, axis=1))
     return dmin, dend
-
-
-def rho_extremes(partition: BoundaryPartition, z=(0.0, 0.0)):
-    """(rho_e, rho_i): max/min distance from z to the GAMMA0 polyline."""
-    a, b = partition.gamma0.segments()
-    dmin, dmax = segment_extremes(a, b, z)
-    return float(np.max(dmax)), float(np.min(dmin))
 
 
 # pairs per (points, segments) temporary of polyline_distance: 64 x 512
@@ -657,21 +638,6 @@ def interior_sphere_radius(spec: DomainSpec, samples: int = 256) -> InteriorSphe
         lo = np.where(good, mid, lo)
         hi = np.where(good, hi, mid)
     return InteriorSphere(float(np.min(lo)), True)
-
-
-def domain_area(spec: DomainSpec) -> float:
-    """|Sigma ∩ Omega| by adaptive quadrature of the sector formula."""
-    val, _ = quad(lambda t: 0.5 * float(spec.radius_fn(t)) ** 2, 0.0, spec.beta,
-                  limit=200)
-    return val
-
-
-def gamma0_length(spec: DomainSpec) -> float:
-    """|GAMMA0| by adaptive quadrature of the polar arc-length element."""
-    fn = spec.radius_fn
-    val, _ = quad(lambda t: math.hypot(float(fn(t)), float(fn.deriv(t))),
-                  0.0, spec.beta, limit=200)
-    return val
 
 
 def domain_diameter(spec: DomainSpec) -> float:

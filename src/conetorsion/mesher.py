@@ -76,10 +76,6 @@ class TaggedMesh:
         return len(self.triangles)
 
     @property
-    def areas(self) -> np.ndarray:
-        return _areas(self.vertices, self.triangles)
-
-    @property
     def h_max(self) -> float:
         return _h_max(self.vertices, self.triangles)
 
@@ -100,10 +96,6 @@ class TaggedMesh:
         d = self.vertices[self.boundary_edges[:, 1]] - self.vertices[self.boundary_edges[:, 0]]
         n = np.stack([d[:, 1], -d[:, 0]], axis=1)
         return n / np.linalg.norm(n, axis=1)[:, None]
-
-    def boundary_lengths(self) -> np.ndarray:
-        d = self.vertices[self.boundary_edges[:, 1]] - self.vertices[self.boundary_edges[:, 0]]
-        return np.linalg.norm(d, axis=1)
 
     def gamma0_edges(self) -> np.ndarray:
         return self.boundary_edges[self.boundary_tags == GAMMA0]
@@ -159,12 +151,6 @@ class TaggedMesh:
                 and seg_b[:n0].tobytes() == b0.tobytes()):
             return n0
         return 0
-
-    def rotated(self, phi: float) -> "TaggedMesh":
-        c, s = math.cos(phi), math.sin(phi)
-        R = np.array([[c, -s], [s, c]])
-        spec = self.spec.rotated(phi) if self.spec is not None else None
-        return replace(self, vertices=self.vertices @ R.T, spec=spec)
 
 
 def _ring_mesh(spec: DomainSpec, n: int):
@@ -433,28 +419,3 @@ def write_mesh(mesh: TaggedMesh, path) -> None:
         for (a, b), tag in zip(mesh.boundary_edges, mesh.boundary_tags):
             f.write(f"{a} {b} {TAG_NAMES[int(tag)]}\n")
 
-
-def read_mesh(path) -> TaggedMesh:
-    with open(path, "r", encoding="ascii") as f:
-        lines = [ln.strip() for ln in f if ln.strip()]
-    i = 0
-
-    def section(name):
-        nonlocal i
-        head = lines[i].split()
-        if head[0] != name:
-            raise MeshError(f"expected section {name}, got {lines[i]!r}")
-        count = int(head[1])
-        rows = lines[i + 1:i + 1 + count]
-        i += 1 + count
-        return rows
-
-    verts = np.array([[float(w) for w in ln.split()] for ln in section("VERTICES")])
-    tris = np.array([[int(w) for w in ln.split()] for ln in section("TRIANGLES")],
-                    dtype=np.int64)
-    name_to_tag = {v: k for k, v in TAG_NAMES.items()}
-    rows = section("BOUNDARY_EDGES")
-    edges = np.array([[int(ln.split()[0]), int(ln.split()[1])] for ln in rows],
-                     dtype=np.int64)
-    tags = np.array([name_to_tag[ln.split()[2]] for ln in rows], dtype=np.int64)
-    return TaggedMesh(verts, tris, edges, tags, None)

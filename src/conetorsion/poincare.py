@@ -235,48 +235,31 @@ def _value(est) -> float:
     return est.value if isinstance(est, PoincareEstimate) else float(est)
 
 
-def lambda_constant(k: int, mu=None, eta=None, N: int = 2) -> float:
-    """Combine mu/eta into the k-dependent constant of the stability bound."""
+def lambda_constant(k: int, mu=None, eta=None) -> float:
+    """Combine mu/eta into the k-dependent constant of the stability bound (N = 2)."""
     if k == 0:
         if mu is None:
             raise ValueError("k = 0 needs mu")
         return 1.0 / _value(mu)
-    if k == N:
+    if k == 2:
         if eta is None:
-            raise ValueError(f"k = N = {N} needs eta")
+            raise ValueError("k = N = 2 needs eta")
         return 1.0 / _value(eta)
     if mu is None or eta is None:
-        raise ValueError("1 <= k <= N-1 needs both mu and eta")
+        raise ValueError("k = 1 needs both mu and eta")
     return max(1.0 / _value(mu), 1.0 / _value(eta))
 
 
-def theorem_constant(m: float, lam: float, N: int = 2) -> float:
-    """(2 N Lambda^2 + 3) / (2 m), the explicit stability constant."""
+def theorem_constant(m: float, lam: float) -> float:
+    """(2 N Lambda^2 + 3) / (2 m), N = 2, the explicit stability constant."""
     if m <= 0:
         raise ValueError("flux lower bound m must be positive")
-    return (2.0 * N * lam**2 + 3.0) / (2.0 * m)
-
-
-def admissible_exponents(r: float, p: float, alpha: float, N: int = 2) -> bool:
-    """Bookkeeping check 1 <= p <= r <= Np/(N - p(1-alpha)), p(1-alpha) < N."""
-    if not (1 <= p <= r) or not (0 <= alpha <= 1):
-        return False
-    if p * (1 - alpha) >= N:
-        return False
-    return r <= N * p / (N - p * (1 - alpha))
+    return (2.0 * 2 * lam**2 + 3.0) / (2.0 * m)
 
 
 # ---------------------------------------------------------------------------
-# the mixed gradient inequality check
+# the weighted Hessian norm of the mixed gradient inequality
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GradientPoincareCheck:
-    lhs: float        # ||grad h||_L2
-    rhs: float        # ||d^alpha D2 h||_L2
-    lam: float        # Lambda_{2,alpha}(k)
-    margin: float     # lam*rhs - lhs (>= 0 when the inequality holds)
-
 
 def weighted_hessian_l2(field: FemField, alpha: float,
                         partition: BoundaryPartition) -> float:
@@ -286,12 +269,3 @@ def weighted_hessian_l2(field: FemField, alpha: float,
     wts = _distance_weights(field.mesh, alpha, *partition.gamma0.segments())
     return math.sqrt(float(np.sum(field._areas * frob2 * (TRI_WEIGHTS @ wts))))
 
-
-def mixed_gradient_poincare_check(h: FemField, span: SpanInfo, mu, eta,
-                                  alpha: float,
-                                  partition: BoundaryPartition) -> GradientPoincareCheck:
-    """Verify ||grad h|| <= Lambda_{2,alpha}(k) ||d^alpha D^2 h|| numerically."""
-    lam = lambda_constant(span.k, mu, eta)
-    lhs = math.sqrt(h.energy())
-    rhs = weighted_hessian_l2(h, alpha, partition)
-    return GradientPoincareCheck(lhs, rhs, lam, lam * rhs - lhs)

@@ -2,8 +2,8 @@
 
 Everything the rigidity/stability checks consume is computed here from the
 discrete field: the candidate radius R, the boundary flux u_nu and its
-deficits, the center z, the auxiliary field h = |x-z|^2/2 - u, the volume
-identity connecting them, and the pointwise flux-vs-distance bounds.
+deficits, the center z, the volume identity connecting them, and the
+pointwise flux-vs-distance bounds.
 
 All reductions are plain ``np.sum`` over arrays in fixed element/edge order
 (pairwise summation), so results are independent of worker-thread count.
@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fem import (DegreeError, FemField, _boundary_edge_elements, bary_gradients,
-                  interpolate)
+from .fem import DegreeError, FemField, _boundary_edge_elements, bary_gradients
 from .geometry import (DomainSpec, SpanInfo, boundary_partition, segment_extremes,
                        serrin_radius)
 from .mesher import GAMMA0, GAMMA1, TaggedMesh
@@ -97,14 +96,6 @@ class BoundaryField:
     def weights(self) -> np.ndarray:
         return self.trace.weights
 
-    @property
-    def n_gauss(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def total_weight(self) -> float:
-        return float(np.sum(self.weights))
-
     def min_value(self, exclude_collar: bool = True) -> float:
         vals = self.values[~self.collar] if exclude_collar and np.any(~self.collar) \
             else self.values
@@ -169,35 +160,16 @@ def check_center_constraint(mesh: TaggedMesh, z: np.ndarray, tol: float = 1e-10)
 
 
 # ---------------------------------------------------------------------------
-# auxiliary field and deficit of the Cauchy-Schwarz inequality
+# the volume identity
 # ---------------------------------------------------------------------------
 
-def h_field(u: FemField, center: Center | np.ndarray) -> FemField:
-    """h = |x-z|^2/2 - u, interpolated into the same space (exact for q)."""
-    z = center.z if isinstance(center, Center) else np.asarray(center, dtype=float)
-    q = interpolate(u.mesh, u.degree,
-                    lambda x, y: 0.5 * ((x - z[0]) ** 2 + (y - z[1]) ** 2))
-    return FemField(u.mesh, u.degree, q.coeffs - u.coeffs, u.dofmap)
-
-
 def _hessian_terms(u: FemField):
-    """Element Hessians H, |H|^2 and |H|^2 - (tr H)^2 / N per element."""
+    """Element Hessians H, |H|^2 and |H|^2 - (tr H)^2 / N (N = 2) per element."""
     H = u.element_hessians()
     frob = np.einsum("exy,exy->e", H, H)
     tr = H[:, 0, 0] + H[:, 1, 1]
     return H, frob, frob - tr**2 / 2.0
 
-
-def cs_deficit(u: FemField) -> np.ndarray:
-    """Per element |D^2 u|^2 - (tr D^2 u)^2 / N, clamped at tiny negatives."""
-    out = _hessian_terms(u)[2]
-    out[(out < 0) & (out > -1e-12)] = 0.0
-    return out
-
-
-# ---------------------------------------------------------------------------
-# the volume identity
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class IdentityParts:
@@ -369,15 +341,8 @@ def deficits(u: FemField, center: Center | np.ndarray, *,
 
 
 # ---------------------------------------------------------------------------
-# trace norms and pointwise bounds
+# extrema and pointwise bounds
 # ---------------------------------------------------------------------------
-
-def gamma0_grad_norm(field: FemField) -> float:
-    """L2(GAMMA0) norm of the gradient trace."""
-    tr0 = edge_trace(field.mesh, GAMMA0, 3)
-    grads = field.gradients(tr0.elements[:, None], tr0.lam)
-    return float(np.sqrt(np.sum(tr0.weights * np.einsum("egx,egx->eg", grads, grads))))
-
 
 def max_gradient(u: FemField) -> float:
     """max |grad u| over the mesh.

@@ -42,6 +42,8 @@ class Family:
 
 def make_family(base: DomainSpec, mode: int, eps_list) -> Family:
     """Validated perturbation family; every member must stay star-shaped."""
+    if mode < 1:
+        raise DomainError(f"mode must be at least 1, got {mode} (mode 0 dilates the base)")
     eps_sorted = tuple(sorted(float(e) for e in eps_list))
     if any(e <= 0 for e in eps_sorted):
         raise DomainError("epsilons must be positive (the base is added as eps = 0)")

@@ -1,0 +1,159 @@
+"""Reference computations the tests share and the library's reports never
+need: per-point field evaluation, quadrature norms, the auxiliary field h,
+point location, adaptive-quadrature area and length, rigid rotations."""
+
+import math
+from dataclasses import replace
+
+import numpy as np
+from scipy.integrate import quad
+
+from conetorsion.fem import (FemField, bary_gradients, build_dofmap,
+                             shape_bary_grads, shape_values)
+from conetorsion.geometry import TWO_PI, CallableRadius, DomainError, DomainSpec
+from conetorsion.mesher import GAMMA0
+from conetorsion.quadrature import TRI_POINTS, TRI_WEIGHTS
+from conetorsion.quantities import Center, edge_trace
+
+
+def values_oracle(u, elements, lam):
+    elements = np.asarray(elements, dtype=np.int64)
+    Nsh = shape_values(u.degree, lam)
+    c = u.coeffs[u.dofmap.elem_dofs[elements]]
+    return np.einsum("...i,...i->...", np.broadcast_to(Nsh, c.shape), c)
+
+
+def gradients_oracle(u, elements, lam):
+    elements = np.asarray(elements, dtype=np.int64)
+    dN = shape_bary_grads(u.degree, lam)              # (..., nloc, 3)
+    G = bary_gradients(u.mesh)[0][elements]           # (..., 3, 2)
+    gradN = np.einsum("...la,...ax->...lx", dN, G)
+    c = u.coeffs[u.dofmap.elem_dofs[elements]]
+    return np.einsum("...l,...lx->...x", c, gradN)
+
+
+def corners(mesh):
+    V, T = mesh.vertices, mesh.triangles
+    return V[T[:, 0]], V[T[:, 1]], V[T[:, 2]]
+
+
+def energy(u):
+    """Dirichlet energy int |grad u|^2."""
+    total = 0.0
+    for lam, w in zip(TRI_POINTS, TRI_WEIGHTS):
+        g = gradients_oracle(u, np.arange(u.mesh.n_triangles), lam)
+        total += w * float(np.sum(u._areas * np.einsum("ex,ex->e", g, g)))
+    return total
+
+
+def l2_error(u, exact):
+    """L2 distance to a callable exact(x, y) -> value."""
+    p0, p1, p2 = corners(u.mesh)
+    total = 0.0
+    elems = np.arange(u.mesh.n_triangles)
+    for lam, w in zip(TRI_POINTS, TRI_WEIGHTS):
+        xy = lam[0] * p0 + lam[1] * p1 + lam[2] * p2
+        diff = values_oracle(u, elems, lam) - exact(xy[:, 0], xy[:, 1])
+        total += w * float(np.sum(u._areas * diff**2))
+    return float(np.sqrt(total))
+
+
+def h1_seminorm_error(u, exact_grad):
+    """H1 seminorm distance to a callable exact_grad(x, y) -> (gx, gy)."""
+    p0, p1, p2 = corners(u.mesh)
+    total = 0.0
+    elems = np.arange(u.mesh.n_triangles)
+    for lam, w in zip(TRI_POINTS, TRI_WEIGHTS):
+        xy = lam[0] * p0 + lam[1] * p1 + lam[2] * p2
+        gx, gy = exact_grad(xy[:, 0], xy[:, 1])
+        g = gradients_oracle(u, elems, lam)
+        diff2 = (g[:, 0] - gx) ** 2 + (g[:, 1] - gy) ** 2
+        total += w * float(np.sum(u._areas * diff2))
+    return float(np.sqrt(total))
+
+
+def interpolate(mesh, degree: int, fn) -> FemField:
+    """Nodal interpolant of fn(x, y); exact for quadratics when degree = 2."""
+    dofmap = build_dofmap(mesh, degree)
+    xy = dofmap.node_xy
+    return FemField(mesh, degree, np.asarray(fn(xy[:, 0], xy[:, 1]), dtype=float),
+                    dofmap)
+
+
+def h_field(u: FemField, center) -> FemField:
+    """h = |x-z|^2/2 - u, interpolated into the same space (exact for q)."""
+    z = center.z if isinstance(center, Center) else np.asarray(center, dtype=float)
+    q = interpolate(u.mesh, u.degree,
+                    lambda x, y: 0.5 * ((x - z[0]) ** 2 + (y - z[1]) ** 2))
+    return FemField(u.mesh, u.degree, q.coeffs - u.coeffs, u.dofmap)
+
+
+def gamma0_grad_norm(field: FemField) -> float:
+    """L2(GAMMA0) norm of the gradient trace."""
+    tr0 = edge_trace(field.mesh, GAMMA0, 3)
+    grads = field.gradients(tr0.elements[:, None], tr0.lam)
+    return float(np.sqrt(np.sum(tr0.weights * np.einsum("egx,egx->eg", grads, grads))))
+
+
+def locate(u: FemField, points):
+    """Element index and barycentric coordinates of physical points."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    V, T = u.mesh.vertices, u.mesh.triangles
+    p0 = V[T[:, 0]]
+    inv = u._G[:, 1:]
+    elems = np.empty(len(points), dtype=np.int64)
+    lams = np.empty((len(points), 3))
+    for i, p in enumerate(points):
+        lam12 = np.einsum("exy,ey->ex", inv, p - p0)
+        lam0 = 1.0 - lam12.sum(axis=1)
+        lam = np.column_stack([lam0, lam12])
+        e = int(np.argmax(lam.min(axis=1)))
+        elems[i] = e
+        lams[i] = lam[e]
+    return elems, lams
+
+
+def eval_points(u: FemField, points) -> np.ndarray:
+    elems, lams = locate(u, points)
+    return u.values(elems, lams)
+
+
+def galerkin_residual(system, field: FemField) -> float:
+    """Max weak-form residual against the free basis functions (scaled)."""
+    fixed = system.dirichlet
+    free = np.setdiff1d(np.arange(system.matrix.shape[0]), fixed,
+                        assume_unique=True)
+    r = system.matrix @ field.coeffs - system.load
+    scale = max(float(np.abs(system.load).max()), 1e-30)
+    return float(np.abs(r[free]).max()) / scale
+
+
+def domain_area(spec: DomainSpec) -> float:
+    """|Sigma ∩ Omega| by adaptive quadrature of the sector formula."""
+    val, _ = quad(lambda t: 0.5 * float(spec.radius_fn(t)) ** 2, 0.0, spec.beta,
+                  limit=200)
+    return val
+
+
+def gamma0_length(spec: DomainSpec) -> float:
+    """|GAMMA0| by adaptive quadrature of the polar arc-length element."""
+    fn = spec.radius_fn
+    val, _ = quad(lambda t: math.hypot(float(fn(t)), float(fn.deriv(t))),
+                  0.0, spec.beta, limit=200)
+    return val
+
+
+def rotated_mesh(mesh, phi: float):
+    """The mesh and its full-plane spec turned by phi about the origin."""
+    spec = mesh.spec
+    if not spec.cone.is_full_plane:
+        raise DomainError("rigid rotation is only representable for beta = 2*pi")
+    def shifted(fn):
+        return lambda t: fn(np.mod(t - phi, TWO_PI))
+
+    base = spec.radius_fn
+    fn = CallableRadius(shifted(base), shifted(base.deriv), shifted(base.deriv2))
+    c, s = math.cos(phi), math.sin(phi)
+    R = np.array([[c, -s], [s, c]])
+    return replace(mesh, vertices=mesh.vertices @ R.T,
+                   spec=DomainSpec(spec.cone, fn, spec.sample_count))

@@ -1,4 +1,5 @@
-"""Names the demos and the benchmark bind still exist.
+"""Names the demos and the benchmark bind still exist, and the package
+exports nothing that only tests use.
 
 Static checks only (no demo runs, no solves): every ``conetorsion`` import
 in ``demos/*.py`` resolves, every call of an imported name in the demos and
@@ -6,8 +7,10 @@ every ``ct.<name>(...)`` call in ``bench/workloads.py`` binds to the
 signature it calls, every ``bench/tracer.py`` span names a function whose
 signature has the arguments its counter reads, every sweep column
 ``bench/workloads.py`` reports is one that ``SweepRow.column`` answers,
-every config key the loader accepts is documented in ``README.md``, and the
-README example config loads.
+every name ``conetorsion/__init__.py`` imports is read somewhere in the
+library, the demos or the benchmark (tests aside), every config key the
+loader accepts is documented in ``README.md``, and the README example
+config loads.
 """
 
 import ast
@@ -27,6 +30,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 TRACER = ROOT / "bench" / "tracer.py"
 WORKLOADS = ROOT / "bench" / "workloads.py"
 README = ROOT / "README.md"
+INIT = ROOT / "src" / "conetorsion" / "__init__.py"
 
 
 def _conetorsion_imports(path):
@@ -131,6 +135,20 @@ def test_bench_row_column_resolves(name):
     values = {f.name: 0.0 for f in fields(DeficitReport) if f.name != "extras"}
     report = DeficitReport(**{**values, "z": np.zeros(2)})
     assert isinstance(SweepRow(0.0, report).column(name), float)
+
+
+def test_every_export_has_a_caller_outside_tests():
+    """A name the package exports is read (a name or an attribute, not its
+    ``def``/``class`` or an import) in src/, demos/ or bench/, test files aside."""
+    callers = [p for p in (ROOT / "src" / "conetorsion").glob("*.py") if p != INIT]
+    callers += DEMOS + [p for p in (ROOT / "bench").glob("*.py")
+                        if not p.name.startswith("test_")]
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for path in callers for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, (ast.Name, ast.Attribute))}
+    exported = [alias.asname or alias.name for node in ast.parse(INIT.read_text()).body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert [name for name in exported if name not in read] == []
 
 
 @pytest.mark.parametrize("section,key", sorted(

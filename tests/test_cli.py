@@ -234,18 +234,25 @@ def test_poincare_command(tmp_path, capsys):
     assert last[4] == "true"   # two levels inside 2 percent
 
 
-def test_eta_on_full_plane_is_validation_error(tmp_path):
+def test_eta_on_full_plane_is_validation_error(tmp_path, capsys):
     body = """
         [domain]
         angle = 2pi
         radius = constant 1.0
 
         [poincare]
-        kinds = eta
+        kinds = {}
     """
-    code = main(["poincare", "--config", write_config(tmp_path, body),
-                 "--out", str(tmp_path)])
-    assert code == cli.EXIT_VALIDATION
+    # rejected before any eigensolve: no mu ladder runs ahead of the error
+    for kinds in ("eta", "mu eta"):
+        code = main(["poincare", "--config", write_config(tmp_path, body.format(kinds)),
+                     "--out", str(tmp_path)])
+        assert code == cli.EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert "mu alpha=" not in out
+        assert [ln for ln in err.splitlines() if ln.startswith("error: ")] == [
+            "error: eta needs a domain with GAMMA1 (k >= 1)"]
+    assert not (tmp_path / "run_poincare.csv").exists()
 
 
 SWEEP = """
@@ -294,6 +301,18 @@ def test_sweep_empty_epsilons_rejected(tmp_path):
     code = main(["sweep", "--config", write_config(tmp_path, body),
                  "--out", str(tmp_path)])
     assert code == cli.EXIT_VALIDATION
+
+
+def test_sweep_mode_zero_rejected(tmp_path, capsys):
+    # mode 0 scales the base by 1 + eps: a dilation, not a perturbation
+    body = SWEEP.replace("mode = 3", "mode = 0")
+    code = main(["sweep", "--config", write_config(tmp_path, body),
+                 "--out", str(tmp_path)])
+    assert code == cli.EXIT_VALIDATION
+    errors = [ln for ln in capsys.readouterr().err.splitlines()
+              if ln.startswith("error: ")]
+    assert len(errors) == 1 and "mode must be at least 1" in errors[0]
+    assert not (tmp_path / "sw_sweep.csv").exists()
 
 
 def test_sweep_byte_identical_across_threads(tmp_path):

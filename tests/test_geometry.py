@@ -5,16 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
-from scipy.integrate import quad
 
 from conetorsion import (ConstantRadius, DomainError, FourierRadius,
-                         TableRadius, boundary_partition, domain_area,
-                         domain_diameter, gamma0_length, interior_sphere_radius,
-                         make_sector_domain, normal_span, offset_disk_radius,
-                         parse_radius_spec, polar_curvature, rho_extremes,
-                         serrin_radius, triangulate)
+                         TableRadius, boundary_partition, domain_diameter,
+                         interior_sphere_radius, make_sector_domain,
+                         normal_span, offset_disk_radius, parse_radius_spec,
+                         polar_curvature, serrin_radius, triangulate)
 from conetorsion import geometry
-from conetorsion.geometry import _PAIR_BUDGET, polyline_distance
+from conetorsion.geometry import _PAIR_BUDGET, polyline_distance, segment_extremes
+from tests.oracles import domain_area, gamma0_length
 
 # frozen quadrature oracle values for r(t) = 1 + 0.05 cos 3t
 PERT_DISK_AREA = 3.14551964440678
@@ -218,32 +217,26 @@ def test_normal_span_rank_rotation_invariant(phi):
 # ---------------------------------------------------------------------------
 
 def test_serrin_radius_ball_sectors():
-    assert serrin_radius(math.pi / 4, math.pi / 2, 2) == pytest.approx(1.0)
-    assert serrin_radius(math.pi, 2 * math.pi, 2) == pytest.approx(1.0)
+    assert serrin_radius(math.pi / 4, math.pi / 2) == pytest.approx(1.0)
+    assert serrin_radius(math.pi, 2 * math.pi) == pytest.approx(1.0)
     with pytest.raises(DomainError):
         serrin_radius(1.0, 0.0)
 
 
 def test_serrin_radius_perturbed_disk_quadrature_oracle(pert_disk_spec):
     # independent oracle: adaptive quadrature of the polar area/length elements
-    r = lambda t: 1 + 0.05 * np.cos(3 * t)
-    dr = lambda t: -0.15 * np.sin(3 * t)
-    area_o, _ = quad(lambda t: 0.5 * r(t) ** 2, 0, 2 * math.pi, limit=200)
-    len_o, _ = quad(lambda t: np.hypot(r(t), dr(t)), 0, 2 * math.pi, limit=200)
-    assert area_o == pytest.approx(PERT_DISK_AREA, rel=1e-12)
-    assert len_o == pytest.approx(PERT_DISK_LEN, rel=1e-12)
-    assert domain_area(pert_disk_spec) == pytest.approx(PERT_DISK_AREA, rel=1e-9)
-    assert gamma0_length(pert_disk_spec) == pytest.approx(PERT_DISK_LEN, rel=1e-9)
-    R = serrin_radius(domain_area(pert_disk_spec), gamma0_length(pert_disk_spec))
-    assert R == pytest.approx(PERT_DISK_R, rel=1e-9)
+    area, length = domain_area(pert_disk_spec), gamma0_length(pert_disk_spec)
+    assert area == pytest.approx(PERT_DISK_AREA, rel=1e-12)
+    assert length == pytest.approx(PERT_DISK_LEN, rel=1e-12)
+    assert serrin_radius(area, length) == pytest.approx(PERT_DISK_R, rel=1e-9)
 
 
 @settings(max_examples=25, deadline=None)
 @given(scale=hst.floats(0.1, 10.0), area=hst.floats(0.1, 5.0),
        length=hst.floats(0.1, 5.0))
 def test_serrin_radius_homogeneous(scale, area, length):
-    base = serrin_radius(area, length, 2)
-    scaled = serrin_radius(area * scale**2, length * scale, 2)
+    base = serrin_radius(area, length)
+    scaled = serrin_radius(area * scale**2, length * scale)
     assert scaled == pytest.approx(scale * base, rel=1e-12)
 
 
@@ -251,23 +244,28 @@ def test_serrin_radius_homogeneous(scale, area, length):
 # rho extremes
 # ---------------------------------------------------------------------------
 
+def rho_extremes(spec, z):
+    dmin, dmax = segment_extremes(*boundary_partition(spec).gamma0.segments(), z)
+    return dmax.max(), dmin.min()
+
+
 def test_rho_extremes_sector_and_perturbed(quarter_spec, pert_disk_spec,
                                            shifted_half_spec):
-    rho_e, rho_i = rho_extremes(boundary_partition(quarter_spec), (0, 0))
+    rho_e, rho_i = rho_extremes(quarter_spec, (0, 0))
     assert rho_e == pytest.approx(1.0, abs=1e-12)
     assert rho_i == pytest.approx(1.0, abs=1e-4)   # chord sagitta only
     # chord sagitta ~ (2 pi / samples)^2 / 8 limits the polyline minimum
-    rho_e, rho_i = rho_extremes(boundary_partition(pert_disk_spec), (0, 0))
+    rho_e, rho_i = rho_extremes(pert_disk_spec, (0, 0))
     assert rho_e == pytest.approx(1.05, abs=1e-6)
     assert rho_i == pytest.approx(0.95, abs=2e-5)
-    rho_e, rho_i = rho_extremes(boundary_partition(shifted_half_spec), (0.3, 0))
+    rho_e, rho_i = rho_extremes(shifted_half_spec, (0.3, 0))
     assert rho_e == pytest.approx(1.0, abs=1e-9)
     assert rho_i == pytest.approx(1.0, abs=1e-4)
 
 
 def test_rho_gap_vanishes_for_dense_sector_sampling():
     spec = make_sector_domain(math.pi / 2, ConstantRadius(1.0), 8192)
-    rho_e, rho_i = rho_extremes(boundary_partition(spec), (0, 0))
+    rho_e, rho_i = rho_extremes(spec, (0, 0))
     assert rho_e - rho_i <= 1e-8
 
 

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from conetorsion import (GAMMA0, GAMMA1, MeshError, boundary_partition,
-                         domain_area, gamma0_length, read_mesh, rectangle_mesh,
-                         refine, triangulate, write_mesh)
+                         rectangle_mesh, refine, triangulate, write_mesh)
 from conetorsion import mesher
+from conetorsion.fem import bary_gradients
 from conetorsion.geometry import polyline_distance
+from conetorsion.quantities import edge_trace
+from tests.oracles import domain_area, gamma0_length
 
 
 def edge_count(mesh):
@@ -24,7 +26,7 @@ def test_quarter_disk_structure(quarter_spec):
     assert tags == {GAMMA0, GAMMA1}
     assert mesh.h_max <= 1.5 * 0.1
     assert mesh.min_angle >= 20.0
-    assert np.all(mesh.areas > 0)
+    assert np.all(bary_gradients(mesh)[1] > 0)
 
 
 def test_full_disk_has_only_gamma0(disk_spec):
@@ -228,9 +230,8 @@ def test_area_and_length_converge_second_order(pert_disk_spec):
     mesh = triangulate(pert_disk_spec, 0.2)
     for _ in range(3):
         hs.append(mesh.h_max)
-        area_err.append(abs(np.sum(mesh.areas) - area_exact))
-        g0 = mesh.boundary_lengths()[mesh.boundary_tags == GAMMA0]
-        len_err.append(abs(np.sum(g0) - len_exact))
+        area_err.append(abs(np.sum(bary_gradients(mesh)[1]) - area_exact))
+        len_err.append(abs(edge_trace(mesh, GAMMA0).total_length - len_exact))
         mesh = refine(mesh)
     for errs in (area_err, len_err):
         slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
@@ -245,22 +246,24 @@ def test_mesh_export_roundtrip(tmp_path, quarter_spec):
     mesh = triangulate(quarter_spec, 0.2)
     path = tmp_path / "mesh.txt"
     write_mesh(mesh, path)
-    text = path.read_text()
-    assert text.startswith("VERTICES")
-    assert "TRIANGLES" in text and "BOUNDARY_EDGES" in text
-    assert "GAMMA0" in text and "GAMMA1" in text
-    back = read_mesh(path)
-    np.testing.assert_allclose(back.vertices, mesh.vertices, rtol=0, atol=0)
-    np.testing.assert_array_equal(back.triangles, mesh.triangles)
-    np.testing.assert_array_equal(back.boundary_edges, mesh.boundary_edges)
-    np.testing.assert_array_equal(back.boundary_tags, mesh.boundary_tags)
+    lines = path.read_text().splitlines()
+    start = 0
+    for name, table in (("VERTICES", mesh.vertices), ("TRIANGLES", mesh.triangles),
+                        ("BOUNDARY_EDGES", mesh.boundary_edges)):
+        assert lines[start] == f"{name} {len(table)}"
+        rows = np.array([ln.split() for ln in lines[start + 1:start + 1 + len(table)]])
+        assert np.array_equal(rows[:, :table.shape[1]].astype(table.dtype), table)
+        start += 1 + len(table)
+    assert start == len(lines)
+    tags = [mesher.TAG_NAMES[t] for t in mesh.boundary_tags.tolist()]
+    assert rows[:, 2].tolist() == tags and set(tags) == {"GAMMA0", "GAMMA1"}
 
 
 def test_rectangle_mesh_structure():
     mesh = rectangle_mesh(3, 5, 2.0, 1.0)
     assert mesh.n_vertices == 4 * 6
     assert mesh.n_triangles == 2 * 3 * 5
-    assert np.sum(mesh.areas) == pytest.approx(2.0, rel=1e-12)
+    assert np.sum(bary_gradients(mesh)[1]) == pytest.approx(2.0, rel=1e-12)
     square = rectangle_mesh(4, 4)
     assert square.min_angle >= 44.9
 
@@ -371,19 +374,18 @@ def test_obtuse_corner_mesh_is_graded_and_conforming():
     assert size.min() <= CORNER_FLOOR * h
     assert mesh.h_max <= 1.5 * h
     assert mesh.min_angle >= 20.0
-    assert np.all(mesh.areas > 0)
+    assert np.all(bary_gradients(mesh)[1] > 0)
     assert mesh.n_vertices - edge_count(mesh) + mesh.n_triangles == 1
     # conforming: the boundary is exactly the two legs and the graph
-    lengths = mesh.boundary_lengths()
     legs = float(spec.radius_fn(0.0)) + float(spec.radius_fn(math.pi / 2))
-    assert lengths[mesh.boundary_tags == GAMMA1].sum() == pytest.approx(legs, abs=1e-12)
+    assert edge_trace(mesh, GAMMA1).total_length == pytest.approx(legs, abs=1e-12)
     # bisection keeps the ring mesh's vertices and only adds more: the chord
     # sum along the graph grows toward its length
     ring = _finalize(spec, *_ring_mesh(spec, math.ceil(1.08 / h)))
     assert ring.h_max <= 1.5 * h
     assert np.array_equal(mesh.vertices[:ring.n_vertices], ring.vertices)
-    chords = lengths[mesh.boundary_tags == GAMMA0].sum()
-    assert ring.boundary_lengths()[ring.boundary_tags == GAMMA0].sum() < chords
+    chords = edge_trace(mesh, GAMMA0).total_length
+    assert edge_trace(ring, GAMMA0).total_length < chords
     assert chords < gamma0_length(spec)
     for a, b in mesh.gamma0_edges():
         for vid in (a, b):

@@ -6,14 +6,13 @@ import pytest
 import scipy.linalg
 from scipy.special import jnp_zeros
 
-from conetorsion import (ConstantRadius, boundary_partition, h_field,
-                         make_sector_domain, normal_span, rectangle_mesh,
-                         refine, triangulate)
+from conetorsion import (ConstantRadius, boundary_partition, make_sector_domain,
+                         normal_span, rectangle_mesh, refine, triangulate)
 from conetorsion.poincare import (_boundary_segments, _p1_matrices,
-                                  _smallest_eigs, admissible_exponents,
-                                  eta_estimate,
-                                  lambda_constant, mixed_gradient_poincare_check,
-                                  mu_estimate, theorem_constant)
+                                  _smallest_eigs, eta_estimate, lambda_constant,
+                                  mu_estimate, theorem_constant,
+                                  weighted_hessian_l2)
+from tests.oracles import energy, h_field, rotated_mesh
 
 # first positive root of the derivative of the first-order Bessel function
 BESSEL_J1_PRIME_ROOT = 1.8411837813406595
@@ -100,7 +99,7 @@ def test_mu_history_decreases(disk_spec):
 def test_mesh_caches_are_exact_and_not_shared(disk_spec):
     mesh = triangulate(disk_spec, 0.15)
     warm = mu_estimate(mesh, 1.0, levels=2)
-    turned = mesh.rotated(0.3)
+    turned = rotated_mesh(mesh, 0.3)
     assert turned._cache == {}
     rotated = mu_estimate(turned, 1.0, levels=2)
     assert rotated.history == pytest.approx(warm.history, abs=1e-10)
@@ -302,18 +301,10 @@ def test_lambda_constant_cases():
 
 
 def test_theorem_constant_values():
-    assert theorem_constant(1.0, 1.0, 2) == pytest.approx(3.5)
-    assert theorem_constant(0.5, 2.0, 2) == pytest.approx(19.0)
+    assert theorem_constant(1.0, 1.0) == pytest.approx(3.5)
+    assert theorem_constant(0.5, 2.0) == pytest.approx(19.0)
     with pytest.raises(ValueError):
         theorem_constant(0.0, 1.0)
-
-
-def test_admissible_exponents():
-    assert admissible_exponents(2, 2, 1.0)          # r = p, alpha = 1
-    assert admissible_exponents(4, 2, 0.5)          # r = Np/(N-p(1-alpha)) = 4
-    assert not admissible_exponents(5, 2, 0.5)      # beyond the critical index
-    assert not admissible_exponents(2, 2, 0.0)      # p(1-alpha) = N
-    assert not admissible_exponents(1, 2, 1.0)      # r < p
 
 
 # ---------------------------------------------------------------------------
@@ -321,30 +312,32 @@ def test_admissible_exponents():
 # ---------------------------------------------------------------------------
 
 def _check(bundle, alpha):
+    """(||grad h||, ||d^alpha D^2 h||, margin) of ||grad h|| <= Lambda ||d^alpha D^2 h||."""
     part, span, mesh = bundle.partition, bundle.span, bundle.mesh
     seg = part.all_segments()
     mu = mu_estimate(mesh, alpha, boundary=(seg[0], seg[1]))
     eta = eta_estimate(mesh, part, span, alpha) if span.k >= 1 else None
     h = h_field(bundle.field, bundle.center)
-    return mixed_gradient_poincare_check(h, span, mu, eta, alpha, part)
+    lhs, rhs = math.sqrt(energy(h)), weighted_hessian_l2(h, alpha, part)
+    return lhs, rhs, lambda_constant(span.k, mu, eta) * rhs - lhs
 
 
 def test_mixed_check_rigidity(quarter_solve):
-    chk = _check(quarter_solve, 1.0)
-    assert chk.margin >= -1e-6
+    _, _, margin = _check(quarter_solve, 1.0)
+    assert margin >= -1e-6
 
 
 @pytest.mark.parametrize("alpha", [1.0, 0.5])
 def test_mixed_check_perturbed_disk(pert_disk_solve, alpha):
-    chk = _check(pert_disk_solve, alpha)
-    assert chk.margin >= -1e-3 * chk.rhs
-    assert chk.lhs > 0 and chk.rhs > 0
+    lhs, rhs, margin = _check(pert_disk_solve, alpha)
+    assert margin >= -1e-3 * rhs
+    assert lhs > 0 and rhs > 0
 
 
 @pytest.mark.parametrize("alpha", [1.0, 0.5])
 def test_mixed_check_perturbed_quarter(pert_quarter_solve, alpha):
-    chk = _check(pert_quarter_solve, alpha)
-    assert chk.margin >= -1e-3 * chk.rhs
+    _, rhs, margin = _check(pert_quarter_solve, alpha)
+    assert margin >= -1e-3 * rhs
 
 
 # ---------------------------------------------------------------------------

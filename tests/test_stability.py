@@ -42,6 +42,13 @@ def test_make_family_rejects_bad_epsilons(disk_spec):
         make_family(disk_spec, 3, [1.01])     # radius turns negative
 
 
+def test_make_family_rejects_mode_below_one(disk_spec):
+    # r (1 + eps cos 0) = (1 + eps) r dilates the base instead of perturbing it
+    for mode in (0, -3):
+        with pytest.raises(DomainError, match="mode must be at least 1"):
+            make_family(disk_spec, mode, [0.02, 0.04])
+
+
 # ---------------------------------------------------------------------------
 # sweeps
 # ---------------------------------------------------------------------------
@@ -281,9 +288,9 @@ def test_pipeline_properties_random_families(data):
     """
     import numpy as np
     from conetorsion import (assemble, boundary_partition, compute_center,
-                             deficits, gamma0_grad_norm, h_field,
-                             make_sector_domain, normal_span, solve,
+                             deficits, make_sector_domain, normal_span, solve,
                              triangulate)
+    from tests.oracles import gamma0_grad_norm, h_field
 
     beta = data.draw(hst.sampled_from([math.pi / 2, math.pi, 2 * math.pi]))
     mode = data.draw(hst.sampled_from([2, 3, 4, 5]))
