@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.spatial.distance import pdist
 
 TWO_PI = 2.0 * math.pi
 _FULL_PLANE_TOL = 1e-12
@@ -84,6 +82,9 @@ class TableRadius(RadiusFunction):
     """Cubic-spline interpolation of (t, r) samples."""
 
     def __init__(self, ts, rs):
+        # imported here: scipy.interpolate costs most of the package import
+        from scipy.interpolate import CubicSpline
+
         ts = np.asarray(ts, dtype=float)
         rs = np.asarray(rs, dtype=float)
         if ts.ndim != 1 or ts.size < 2 or ts.shape != rs.shape:
@@ -604,6 +605,10 @@ def interior_sphere_radius(spec: DomainSpec, samples: int = 256) -> InteriorSphe
     and the closed ball may meet GAMMA0 only at the tangency point (the cone
     legs do not constrain the ball).  Bisection per sample; the reported value
     is the minimum over samples, a lower bound up to sampling resolution.
+
+    Each step bisects only the samples with lo <= min(hi).  A sample with
+    lo above min(hi) ends above the final minimum, since every bracket only
+    shrinks; the samples are independent, so the result is unchanged.
     """
     part = boundary_partition(spec)
     a0, b0 = part.gamma0.segments()
@@ -620,30 +625,46 @@ def interior_sphere_radius(spec: DomainSpec, samples: int = 256) -> InteriorSphe
     rho_hi = float(np.max(r))
     geom_tol = 2.0 * rho_hi * (spec.beta / len(a0)) ** 2 + 1e-12
 
-    def admissible(rho: np.ndarray) -> np.ndarray:
-        """Per sample: the ball of radius rho[i] tangent at pts[i] is legal."""
-        centers = pts - rho[:, None] * nrm
+    def admissible(idx: np.ndarray, rho: np.ndarray) -> np.ndarray:
+        """Per sample i in idx: the ball of radius rho tangent at pts[i] is legal."""
+        centers = pts[idx] - rho[:, None] * nrm[idx]
         inside = _inside_closure(spec, centers, geom_tol)
         dist = polyline_distance(centers, a0, b0)
         return inside & (dist >= rho - geom_tol)
 
     lo = np.full(len(pts), 0.0)
     hi = np.full(len(pts), rho_hi)
-    if not np.all(admissible(np.full(len(pts), 1e-3 * rho_hi))):
+    if not np.all(admissible(np.arange(len(pts)), np.full(len(pts), 1e-3 * rho_hi))):
         return InteriorSphere(0.0, False)
-    # per-sample bisection (vectorized over samples)
+    # per-sample bisection (vectorized over the samples that can set the minimum)
     for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        good = admissible(mid)
-        lo = np.where(good, mid, lo)
-        hi = np.where(good, hi, mid)
+        idx = np.flatnonzero(lo <= hi.min())
+        mid = 0.5 * (lo[idx] + hi[idx])
+        good = admissible(idx, mid)
+        lo[idx] = np.where(good, mid, lo[idx])
+        hi[idx] = np.where(good, hi[idx], mid)
     return InteriorSphere(float(np.min(lo)), True)
 
 
+# rows per block of domain_diameter: at most 64 x 513 doubles per temporary
+_DIAMETER_ROWS = 64
+
+
 def domain_diameter(spec: DomainSpec) -> float:
-    """Largest distance between GAMMA0 samples and, on a cone, the vertex."""
+    """Largest distance between GAMMA0 samples and, on a cone, the vertex.
+
+    The largest squared distance, then one sqrt: sqrt is monotone and
+    correctly rounded, so this is the largest of the pairwise distances.
+    """
     pts = spec.gamma0_point(spec.gamma0_angles(max(spec.sample_count, 512)))
     if not spec.cone.is_full_plane:
         pts = np.vstack([pts, [[0.0, 0.0]]])
-    return float(pdist(pts).max())
+    x, y = pts[:, 0], pts[:, 1]
+    best = []
+    for i in range(0, len(pts), _DIAMETER_ROWS):
+        # rows i.. against columns i..: every pair j > k at least once
+        dx = x[i:i + _DIAMETER_ROWS, None] - x[i:]
+        dy = y[i:i + _DIAMETER_ROWS, None] - y[i:]
+        best.append((dx * dx + dy * dy).max())
+    return math.sqrt(np.max(best))
 

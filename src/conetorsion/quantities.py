@@ -96,9 +96,9 @@ class BoundaryField:
     def weights(self) -> np.ndarray:
         return self.trace.weights
 
-    def min_value(self, exclude_collar: bool = True) -> float:
-        vals = self.values[~self.collar] if exclude_collar and np.any(~self.collar) \
-            else self.values
+    def min_value(self) -> float:
+        """Least value off the collar; over every value when all edges are in it."""
+        vals = self.values[~self.collar] if np.any(~self.collar) else self.values
         return float(np.min(vals))
 
 
@@ -247,8 +247,6 @@ class DeficitReport:
     C_bound: float | None
     C_bound_satisfied: bool | None
     k: int = 0
-    collar_excluded: int = 0
-    m_all_points: float = 0.0
     extras: dict = field(default_factory=dict)
 
     @staticmethod
@@ -334,8 +332,6 @@ def deficits(u: FemField, center: Center | np.ndarray, *,
         identity_lhs=ident.lhs, identity_rhs=ident.rhs,
         gamma1_term=ident.gamma1_term, identity_residual=ident.residual,
         C_bound=c_bound, C_bound_satisfied=satisfied, k=k,
-        collar_excluded=int(np.sum(flux.collar)),
-        m_all_points=flux.min_value(exclude_collar=False),
         extras={"identity_lhs_exact_trace": ident.lhs_exact_trace},
     )
 

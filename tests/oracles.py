@@ -1,6 +1,7 @@
 """Reference computations the tests share and the library's reports never
 need: per-point field evaluation, quadrature norms, the auxiliary field h,
-point location, adaptive-quadrature area and length, rigid rotations."""
+point location, adaptive-quadrature area and length, rigid rotations, and
+the earlier interior sphere radius that bisects every sample."""
 
 import math
 from dataclasses import replace
@@ -10,7 +11,9 @@ from scipy.integrate import quad
 
 from conetorsion.fem import (FemField, bary_gradients, build_dofmap,
                              shape_bary_grads, shape_values)
-from conetorsion.geometry import TWO_PI, CallableRadius, DomainError, DomainSpec
+from conetorsion.geometry import (TWO_PI, CallableRadius, DomainError, DomainSpec,
+                                  InteriorSphere, _inside_closure,
+                                  boundary_partition, polyline_distance)
 from conetorsion.mesher import GAMMA0
 from conetorsion.quadrature import TRI_POINTS, TRI_WEIGHTS
 from conetorsion.quantities import Center, edge_trace
@@ -157,3 +160,38 @@ def rotated_mesh(mesh, phi: float):
     R = np.array([[c, -s], [s, c]])
     return replace(mesh, vertices=mesh.vertices @ R.T,
                    spec=DomainSpec(spec.cone, fn, spec.sample_count))
+
+
+def interior_sphere_radius(spec: DomainSpec, samples: int = 256) -> InteriorSphere:
+    """The earlier ``geometry.interior_sphere_radius``: all samples bisected
+    at each of the 40 steps."""
+    part = boundary_partition(spec)
+    a0, b0 = part.gamma0.segments()
+    ts = spec.gamma0_angles(samples)
+    pts = spec.gamma0_point(ts)
+    dr = np.asarray(spec.radius_fn.deriv(ts), dtype=float)
+    r = np.asarray(spec.radius_fn(ts), dtype=float)
+    tang = np.stack([dr * np.cos(ts) - r * np.sin(ts),
+                     dr * np.sin(ts) + r * np.cos(ts)], axis=1)
+    tang /= np.linalg.norm(tang, axis=1)[:, None]
+    nrm = np.stack([tang[:, 1], -tang[:, 0]], axis=1)
+
+    rho_hi = float(np.max(r))
+    geom_tol = 2.0 * rho_hi * (spec.beta / len(a0)) ** 2 + 1e-12
+
+    def admissible(rho):
+        centers = pts - rho[:, None] * nrm
+        inside = _inside_closure(spec, centers, geom_tol)
+        dist = polyline_distance(centers, a0, b0)
+        return inside & (dist >= rho - geom_tol)
+
+    lo = np.full(len(pts), 0.0)
+    hi = np.full(len(pts), rho_hi)
+    if not np.all(admissible(np.full(len(pts), 1e-3 * rho_hi))):
+        return InteriorSphere(0.0, False)
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        good = admissible(mid)
+        lo = np.where(good, mid, lo)
+        hi = np.where(good, hi, mid)
+    return InteriorSphere(float(np.min(lo)), True)

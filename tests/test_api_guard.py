@@ -1,7 +1,8 @@
-"""Names the demos and the benchmark bind still exist, and the package
-exports nothing that only tests use.
+"""Names the demos and the benchmark bind still exist, the package exports
+nothing that only tests use, and importing it loads no scipy it does not run.
 
-Static checks only (no demo runs, no solves): every ``conetorsion`` import
+Static checks only (no demo runs, no solves), apart from one import in a
+fresh interpreter: every ``conetorsion`` import
 in ``demos/*.py`` resolves, every call of an imported name in the demos and
 every ``ct.<name>(...)`` call in ``bench/workloads.py`` binds to the
 signature it calls, every ``bench/tracer.py`` span names a function whose
@@ -9,14 +10,18 @@ signature has the arguments its counter reads, every sweep column
 ``bench/workloads.py`` reports is one that ``SweepRow.column`` answers,
 every name ``conetorsion/__init__.py`` imports is read somewhere in the
 library, the demos or the benchmark (tests aside), every config key the
-loader accepts is documented in ``README.md``, and the README example
-config loads.
+loader accepts is documented in ``README.md``, the README example
+config loads, and ``import conetorsion`` leaves the scipy packages below
+unloaded.
 """
 
 import ast
 import importlib
 import inspect
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -164,3 +169,20 @@ def test_readme_example_config_loads(tmp_path):
     cfg = load_config(str(path))
     assert cfg.spec.beta == pytest.approx(2 * np.pi)
     assert cfg.alphas == (0.0, 0.5, 1.0) and cfg.kinds == ("mu", "eta")
+
+
+# scipy packages no workload runs; the ``table`` radius imports interpolate
+UNLOADED_SCIPY = ("scipy.interpolate", "scipy.optimize", "scipy.special",
+                  "scipy.spatial", "scipy.integrate", "scipy.fft")
+
+
+def test_import_leaves_unused_scipy_unloaded():
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, conetorsion; print(*sys.modules)"],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
+        check=True).stdout.split()
+    assert "scipy.sparse.linalg" in out
+    assert [m for m in out if m.startswith(tuple(n + "." for n in UNLOADED_SCIPY))
+            or m in UNLOADED_SCIPY] == []

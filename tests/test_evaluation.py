@@ -164,13 +164,14 @@ def _normal_derivative_oracle(u, n_gauss):
             np.repeat(tr.normals, ng, axis=0), collar)
 
 
-def _min_value_oracle(values, collar, exclude_collar=True):
-    vals = values[~collar] if exclude_collar and np.any(~collar) else values
+def _min_value_oracle(values, collar):
+    vals = values[~collar] if np.any(~collar) else values
     return float(np.min(vals))
 
 
 def _deficits_flux_oracle(u):
-    """R and the flux, m, m_all and collar block of the earlier ``deficits``."""
+    """R, m, the flux minimum over all points and the collar edge count, from
+    the flux block of the earlier ``deficits``."""
     mesh = u.mesh
     tr0 = edge_trace(mesh, GAMMA0, 3)
     unu = np.einsum("egx,ex->eg", u.gradients(tr0.elements[:, None], tr0.lam),
@@ -349,14 +350,14 @@ def test_flux_report_and_identity_match_earlier_flux_paths(solves):
             assert np.array_equal(bf.values.ravel(), values)
             assert np.array_equal(bf.weights.ravel(), weights)
             assert np.array_equal(np.repeat(bf.collar, n_gauss), collar)
-            for exclude in (True, False):
-                assert bf.min_value(exclude) == _min_value_oracle(values, collar, exclude)
-            collar_minima += bf.min_value() > bf.min_value(exclude_collar=False)
+            assert bf.min_value() == _min_value_oracle(values, collar)
+            collar_minima += bf.min_value() > float(np.min(values))
         z = compute_center(u, normal_span(boundary_partition(u.mesh.spec)))
         for center in (z, alternative_center(u)):
             rep = deficits(u, center)
-            assert (rep.R, rep.m, rep.m_all_points, rep.collar_excluded) == \
-                _deficits_flux_oracle(u)
+            flux = normal_derivative(u, 3)
+            assert (rep.R, rep.m, float(np.min(flux.values)),
+                    int(np.count_nonzero(flux.collar))) == _deficits_flux_oracle(u)
             columns = (rep.identity_lhs, rep.identity_rhs, rep.gamma1_term,
                        rep.identity_residual, rep.extras["identity_lhs_exact_trace"])
             if _center_violated_oracle(u.mesh, center.z):

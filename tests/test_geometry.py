@@ -13,6 +13,7 @@ from conetorsion import (ConstantRadius, DomainError, FourierRadius,
                          polar_curvature, serrin_radius, triangulate)
 from conetorsion import geometry
 from conetorsion.geometry import _PAIR_BUDGET, polyline_distance, segment_extremes
+from tests import oracles
 from tests.oracles import domain_area, gamma0_length
 
 # frozen quadrature oracle values for r(t) = 1 + 0.05 cos 3t
@@ -45,6 +46,18 @@ def test_full_plane_graph_must_close():
     # r(0) != r(2 pi) leaves the radial graph open (a loop mismatch)
     with pytest.raises(DomainError):
         make_sector_domain(2 * math.pi, lambda t: 1.0 + 0.1 * t)
+
+
+def test_table_radius_is_scipys_not_a_knot_spline():
+    from scipy.interpolate import CubicSpline
+
+    ts = np.linspace(0.0, math.pi / 2, 13)
+    rs = 1.0 + 0.1 * np.sin(3 * ts) + 0.02 * ts**2
+    tab, ref = TableRadius(ts, rs), CubicSpline(ts, rs)
+    t = np.linspace(-0.1, math.pi / 2 + 0.1, 401)
+    assert np.array_equal(tab(t), ref(t))
+    assert np.array_equal(tab.deriv(t), ref(t, 1))
+    assert np.array_equal(tab.deriv2(t), ref(t, 2))
 
 
 def test_table_radius_rejects_loops():
@@ -108,6 +121,8 @@ def _domain_diameter_oracle(spec):
     return float(np.sqrt((diff**2).sum(axis=2)).max())
 
 
+TABLE_TS = np.linspace(0.0, math.pi / 2, 17)
+
 ORACLE_DOMAINS = {
     "quarter": lambda: make_sector_domain(math.pi / 2, ConstantRadius(1.0), 256),
     "disk": lambda: make_sector_domain(2 * math.pi, ConstantRadius(1.0), 512),
@@ -119,6 +134,8 @@ ORACLE_DOMAINS = {
     "disk8_0.6": lambda: make_sector_domain(
         2 * math.pi, FourierRadius(1.0, [(8, 0.6)]), 512),
     "beta0.1_offset": lambda: make_sector_domain(0.1, offset_disk_radius(0.3), 64),
+    "table_quarter": lambda: make_sector_domain(
+        math.pi / 2, TableRadius(TABLE_TS, 1.0 + 0.05 * np.cos(4 * TABLE_TS)), 256),
 }
 
 
@@ -400,6 +417,24 @@ def test_polyline_distance_prunes_on_the_disk3_mesh(disk3_quadrature,
 # ---------------------------------------------------------------------------
 # interior / exterior sphere radii
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", ORACLE_DOMAINS)
+def test_interior_sphere_matches_every_sample_bisection(name):
+    spec = ORACLE_DOMAINS[name]()
+    assert interior_sphere_radius(spec) == oracles.interior_sphere_radius(spec)
+
+
+def test_interior_sphere_bisects_only_candidate_samples(monkeypatch):
+    # the poincare-quarter4 domain: 257 samples against 256 segments
+    spec = ORACLE_DOMAINS["quarter4"]()
+    shapes = _pair_shapes(monkeypatch)
+    oracles.interior_sphere_radius(spec)
+    every = sum(math.prod(shape) for shape in shapes)
+    shapes.clear()
+    interior_sphere_radius(spec)
+    assert every == 41 * 257 * 256 == 2_697_472
+    assert sum(math.prod(shape) for shape in shapes) == 447_488
+
 
 def test_interior_sphere_quarter_disk(quarter_spec):
     res = interior_sphere_radius(quarter_spec)
