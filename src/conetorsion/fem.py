@@ -10,8 +10,13 @@ cubic L2 accuracy of P2 that the polygonal O(h^2) boundary gap would
 otherwise cap at quadratic order (see tests for the measured rates).
 
 Systems above the measured direct/CG crossover (12,000 free dofs) on
-shape-regular meshes are solved by CG with a two-level P2 -> P1
-preconditioner on the same mesh (p-multigrid); others by LU.
+shape-regular meshes are solved by CG with a P2 -> P1 preconditioner on the
+same mesh (p-multigrid); others by LU.  On a mesh made by ``refine`` the
+preconditioner has a third level, P1 on the parent mesh, reached by the
+refine midpoint rule (a Galerkin, non-nested coarse level), so the factored
+coarse problem follows the refinement ladder down instead of growing with it.
+Besides the reduced blocks, a solve holds one whole-matrix temporary: the
+transpose for its symmetry check, freed before the blocks are cut.
 """
 
 from __future__ import annotations
@@ -180,8 +185,11 @@ def element_stiffness(G: np.ndarray, areas: np.ndarray, degree: int,
 
 
 def scatter(dofmap: DofMap, Ke: np.ndarray) -> sp.csr_matrix:
-    """Global sparse matrix from element blocks (nt, nloc, nloc)."""
-    dofs = dofmap.elem_dofs
+    """Global sparse matrix from element blocks (nt, nloc, nloc).
+
+    The COO indices are int32, the index type scipy stores the result with.
+    """
+    dofs = dofmap.elem_dofs.astype(np.int32)
     nloc = dofs.shape[1]
     rows = np.repeat(dofs, nloc, axis=1).ravel()
     cols = np.tile(dofs, (1, nloc)).ravel()
@@ -339,14 +347,16 @@ def factor_spd(A) -> SpdFactor:
     return SpdFactor(lu, perm)
 
 
-def _prolongation(dofmap: DofMap) -> sp.csr_matrix:
-    """P1 vertex values -> nodal values on ``dofmap`` (n_dofs, n_vertices):
-    vertices copy, midpoints average their edge's ends (P1 is nested in P2)."""
-    nv, keys = dofmap.n_vertices, dofmap.edge_keys
+def _prolongation(nv: int, keys: np.ndarray) -> sp.csr_matrix:
+    """Values at nv vertices -> values at those vertices, then at the midpoints
+    of the sorted edge ``keys`` (nv + len(keys), nv): vertices copy, midpoints
+    average their edge's ends.  A degree-2 dof map's (n_vertices, edge_keys)
+    give P1 -> P2 on one mesh (nested); a ``refine`` parent record gives P1 on
+    the parent -> P1 on the child (the midpoint rule, before any projection)."""
     rows = np.concatenate([np.arange(nv), np.repeat(nv + np.arange(len(keys)), 2)])
     cols = np.concatenate([np.arange(nv), np.column_stack([keys // nv, keys % nv]).ravel()])
     vals = np.concatenate([np.ones(nv), np.full(2 * len(keys), 0.5)])
-    return sp.csr_matrix((vals, (rows, cols)), shape=(dofmap.n_dofs, nv))
+    return sp.csr_matrix((vals, (rows, cols)), shape=(nv + len(keys), nv))
 
 
 def _dot(x: np.ndarray, y: np.ndarray) -> float:
@@ -354,38 +364,93 @@ def _dot(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.add.reduce(x * y))
 
 
-def _two_level(A: sp.csr_matrix, dofmap: DofMap, free: np.ndarray):
-    """Symmetric two-level P2 -> P1 cycle on the free dofs: (r -> M^-1 r, coarse factor).
+def _row_blocks(A):
+    """A as CSR row blocks that view its arrays, each with about as many
+    entries as A has rows: a temporary made per block is no larger than a
+    vector, and each row keeps its entry order, so row-wise results equal
+    those on all of A."""
+    A = A.tocsr()
+    n, ptr = A.shape[0], A.indptr
+    step = max(1, n * n // max(A.nnz, 1))
+    for i in range(0, n, step):
+        j = min(i + step, n)
+        a, b = ptr[i], ptr[j]
+        yield sp.csr_matrix((A.data[a:b], A.indices[a:b], ptr[i:j + 1] - a),
+                            shape=(j - i, A.shape[1]))
 
-    Coarse: P1 on the free vertices, Galerkin P^T A P.  One degree-3 Chebyshev-
-    Jacobi sweep on [lmax / 10, lmax] (Gershgorin lmax of D^-1 A) before and after.
+
+def _galerkin(A: sp.csr_matrix, P: sp.csr_matrix) -> sp.csr_matrix:
+    """P^T A P with the values of ``P.T @ A @ P`` bit for bit, without the CSC
+    copy of A that product makes: sorted rows of P^T A give each entry the
+    same order of summation."""
+    C = P.T.tocsr() @ A
+    C.sort_indices()
+    return C @ P
+
+
+def _two_level(A: sp.csr_matrix, P: sp.csr_matrix, coarse):
+    """Symmetric two-level cycle r -> M^-1 r on A with coarse space range(P).
+
+    ``coarse`` is a symmetric positive map that answers the Galerkin matrix
+    P^T A P: its factor's solve, or the same cycle one level down.  One
+    degree-3 Chebyshev-Jacobi sweep on [lmax / 10, lmax] (Gershgorin lmax of
+    D^-1 A) before and after.
     """
-    P = _prolongation(dofmap)[free][:, free[free < dofmap.n_vertices]]
-    coarse = factor_spd(P.T @ A @ P)
     diag = A.diagonal()
-    lmax = float((abs(A) @ np.ones(A.shape[0]) / diag).max())
+    ones = np.ones(A.shape[0])
+    rowsum = np.concatenate([abs(block) @ ones for block in _row_blocks(A)])
+    lmax = float((rowsum / diag).max())
     theta, delta = 0.55 * lmax, 0.45 * lmax
 
     def smooth(x, r):
-        """Sweep from x with residual r: (x', r', d); the residual of x' is r' - A d."""
+        """Sweep from x, in place, with residual r: (x', r', d); the residual
+        of x' is r' - A d."""
         rho, d = delta / theta, r / (theta * diag)
         for _ in range(2):
-            x, r = x + d, r - A @ d
+            x += d
+            r = r - A @ d
             rho, rho_old = 1 / (2 * theta / delta - rho), rho
-            d = (rho * rho_old) * d + (2 * rho / delta) * (r / diag)
-        return x + d, r, d
+            d *= rho * rho_old
+            d += (2 * rho / delta) * (r / diag)
+        x += d
+        return x, r, d
 
     def cycle(r):
         x, r, d = smooth(np.zeros_like(r), r)
-        r = r - A @ d
-        e = P @ coarse.solve(P.T @ r)
-        return smooth(x + e, r - A @ e)[0]
+        r -= A @ d
+        e = P @ coarse(P.T @ r)
+        x += e
+        r -= A @ e
+        return smooth(x, r)[0]
 
-    return cycle, coarse
+    return cycle
+
+
+def _preconditioner(A: sp.csr_matrix, system: LinearSystem, free: np.ndarray):
+    """CG preconditioner on the free dofs: (r -> M^-1 r, coarsest factor).
+
+    The level below A is P1 on the free vertices of the same mesh, Galerkin
+    P^T A P.  On a mesh made by ``refine``, P1 on the parent is one more level
+    below that, Galerkin Q^T (P^T A P) Q with Q the refine midpoint rule (not
+    nested where GAMMA0 midpoints were projected, still symmetric).  The
+    coarsest level is factored.
+    """
+    dofmap = system.dofmap
+    vertices = free[free < dofmap.n_vertices]
+    P = _prolongation(dofmap.n_vertices, dofmap.edge_keys)[free][:, vertices]
+    A_c = _galerkin(A, P)
+    parent = system.mesh._cache.get("parent")
+    if parent is None:
+        lu = factor_spd(A_c)
+        return _two_level(A, P, lu.solve), lu
+    Q = _prolongation(*parent)[vertices][:, vertices[vertices < parent[0]]]
+    lu = factor_spd(_galerkin(A_c, Q))
+    return _two_level(A, P, _two_level(A_c, Q, lu.solve)), lu
 
 
 def _pcg(A, b: np.ndarray, x: np.ndarray, precondition, stop: float, steps: list):
-    """Preconditioned CG from x to ||r|| <= stop or _CG_MAX_ITER steps; appends the steps."""
+    """Preconditioned CG from x, in place, to ||r|| <= stop or _CG_MAX_ITER
+    steps; appends the steps."""
     r, p, rz = b - A @ x, np.zeros_like(x), 1.0
     for k in range(_CG_MAX_ITER + 1):
         if k == _CG_MAX_ITER or _dot(r, r) <= stop * stop:
@@ -393,16 +458,19 @@ def _pcg(A, b: np.ndarray, x: np.ndarray, precondition, stop: float, steps: list
             return x
         z = precondition(r)
         rz, rz_old = _dot(r, z), rz
-        p = z + (rz / rz_old) * p
+        p *= rz / rz_old
+        p += z
         q = A @ p
         alpha = rz / _dot(p, q)
-        x, r = x + alpha * p, r - alpha * q
+        x += alpha * p
+        r -= alpha * q
+        del z, q                     # not held through the next cycle
 
 
 def solve(system: LinearSystem, curved_correction: bool = True) -> FemField:
     """Sparse solve; optional curved-boundary midpoint correction.
 
-    CG with ``_two_level`` to ||r|| <= _CG_RTOL ||b_free|| when the reduced
+    CG with ``_preconditioner`` to ||r|| <= _CG_RTOL ||b_free|| when the reduced
     system is large and the mesh shape-regular (_CG_MIN_*), else ``factor_spd``.
     The correction applies to degree-2 systems on meshes that carry an
     analytic boundary: the Dirichlet value at each GAMMA0 edge midpoint m is
@@ -411,18 +479,22 @@ def solve(system: LinearSystem, curved_correction: bool = True) -> FemField:
     """
     A, b = system.matrix, system.load
     n = A.shape[0]
-    asym = abs(A - A.T).max()
-    if asym > 1e-12 * abs(A).max():
+    # max |A - A^T| by row blocks, as max and -min: no whole-matrix difference
+    At = A.T.tocsr()
+    asym = max(max(D.max(), -D.min()) for D in (
+        B - Bt for B, Bt in zip(_row_blocks(A), _row_blocks(At))))
+    del At
+    if asym > 1e-12 * max(A.max(), -A.min()):
         raise FemError(f"assembled matrix is not symmetric: {asym:g}")
     fixed = system.dirichlet
     free = np.setdiff1d(np.arange(n), fixed, assume_unique=True)
     A_f = A[free]
-    A_ff = A_f[:, free]
-    A_fc = A_f[:, fixed]
+    A_ff, A_fc = A_f[:, free], A_f[:, fixed]
+    del A_f
     min_angle = system.mesh.min_angle
     iterations = []
     if len(free) >= _CG_MIN_DOFS and min_angle >= _CG_MIN_ANGLE:
-        cycle, lu = _two_level(A_ff, system.dofmap, free)
+        cycle, lu = _preconditioner(A_ff, system, free)
         stop = _CG_RTOL * np.sqrt(_dot(b[free], b[free]))
     else:
         A_ff = A_ff.tocsc()              # factor_spd then makes no copy
@@ -437,21 +509,19 @@ def solve(system: LinearSystem, curved_correction: bool = True) -> FemField:
         return u
 
     u = solve_with(np.zeros(len(fixed)), np.zeros(len(free)))
-    field = FemField(system.mesh, system.dofmap.degree, u, system.dofmap)
-
-    mesh = system.mesh
-    if (curved_correction and system.dofmap.degree == 2 and mesh.spec is not None):
+    mesh, dofmap = system.mesh, system.dofmap
+    if curved_correction and dofmap.degree == 2 and mesh.spec is not None:
         rows = np.flatnonzero(mesh.boundary_tags == GAMMA0)
-        dofs = edge_dofs(system.dofmap, mesh.boundary_edges[rows])
-        m = system.dofmap.node_xy[dofs]
+        dofs = edge_dofs(dofmap, mesh.boundary_edges[rows])
+        m = dofmap.node_xy[dofs]
         p = mesh.spec.project_to_gamma0(m)
         # the centroid gradient keeps the correction uniformly first order
-        grad = field.gradients(_boundary_edge_elements(mesh)[rows],
-                               np.full(3, 1.0 / 3.0))
+        grad = FemField(mesh, dofmap.degree, u, dofmap).gradients(
+            _boundary_edge_elements(mesh)[rows], np.full(3, 1.0 / 3.0))
         gvals = np.zeros(len(fixed))
         gvals[np.searchsorted(fixed, dofs)] = -np.einsum("ex,ex->e", grad, p - m)
         u = solve_with(gvals, u[free])
-        field = FemField(system.mesh, system.dofmap.degree, u, system.dofmap)
+    field = FemField(mesh, dofmap.degree, u, dofmap)
 
     resid = A_ff @ u[free] - (b[free] - A_fc @ u[fixed])
     scale = max(float(np.linalg.norm(b[free])), 1e-30)

@@ -348,6 +348,9 @@ def refine(mesh: TaggedMesh) -> TaggedMesh:
     """Regular 1->4 refinement; new GAMMA0 vertices projected onto the graph.
 
     Memoized on the mesh: refining the same mesh again returns the same child.
+    Child vertex nv + i is the midpoint of the parent's sorted edge key i
+    (projected when on GAMMA0); the child's ``_cache["parent"]`` records the
+    parent's (nv, keys) for the solver's coarsest level.
     """
     if "refine" in mesh._cache:
         return mesh._cache["refine"]
@@ -379,6 +382,8 @@ def refine(mesh: TaggedMesh) -> TaggedMesh:
         child_keys = keys[np.where(a >= nv, a, b) - nv]
         tags = mesh.boundary_tags[order[np.searchsorted(parent_keys[order], child_keys)]]
         new_mesh = replace(new_mesh, boundary_tags=tags)
+    keys.flags.writeable = False
+    new_mesh._cache["parent"] = nv, keys
     mesh._cache["refine"] = new_mesh
     return new_mesh
 

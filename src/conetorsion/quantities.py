@@ -332,7 +332,6 @@ def deficits(u: FemField, center: Center | np.ndarray, *,
         identity_lhs=ident.lhs, identity_rhs=ident.rhs,
         gamma1_term=ident.gamma1_term, identity_residual=ident.residual,
         C_bound=c_bound, C_bound_satisfied=satisfied, k=k,
-        extras={"identity_lhs_exact_trace": ident.lhs_exact_trace},
     )
 
 

@@ -1,7 +1,8 @@
 """Reference computations the tests share and the library's reports never
 need: per-point field evaluation, quadrature norms, the auxiliary field h,
-point location, adaptive-quadrature area and length, rigid rotations, and
-the earlier interior sphere radius that bisects every sample."""
+point location, adaptive-quadrature area and length, rigid rotations, the
+earlier interior sphere radius that bisects every sample, and the two-level
+CG preconditioner and CG loop written with whole-array temporaries."""
 
 import math
 from dataclasses import replace
@@ -9,6 +10,7 @@ from dataclasses import replace
 import numpy as np
 from scipy.integrate import quad
 
+from conetorsion import fem
 from conetorsion.fem import (FemField, bary_gradients, build_dofmap,
                              shape_bary_grads, shape_values)
 from conetorsion.geometry import (TWO_PI, CallableRadius, DomainError, DomainSpec,
@@ -195,3 +197,47 @@ def interior_sphere_radius(spec: DomainSpec, samples: int = 256) -> InteriorSphe
         lo = np.where(good, mid, lo)
         hi = np.where(good, hi, mid)
     return InteriorSphere(float(np.min(lo)), True)
+
+
+def two_level_cycle(A, dofmap, free):
+    """The two-level P2 -> P1 preconditioner on the free dofs, (cycle, factor):
+    P1 on the free vertices of the same mesh, Galerkin P^T A P, factored; one
+    degree-3 Chebyshev-Jacobi sweep on [lmax / 10, lmax] (Gershgorin lmax of
+    D^-1 A, from the whole abs(A)) before and after."""
+    P = fem._prolongation(dofmap.n_vertices, dofmap.edge_keys)[free][
+        :, free[free < dofmap.n_vertices]]
+    coarse = fem.factor_spd(P.T @ A @ P)
+    diag = A.diagonal()
+    lmax = float((abs(A) @ np.ones(A.shape[0]) / diag).max())
+    theta, delta = 0.55 * lmax, 0.45 * lmax
+
+    def smooth(x, r):
+        rho, d = delta / theta, r / (theta * diag)
+        for _ in range(2):
+            x, r = x + d, r - A @ d
+            rho, rho_old = 1 / (2 * theta / delta - rho), rho
+            d = (rho * rho_old) * d + (2 * rho / delta) * (r / diag)
+        return x + d, r, d
+
+    def cycle(r):
+        x, r, d = smooth(np.zeros_like(r), r)
+        r = r - A @ d
+        e = P @ coarse.solve(P.T @ r)
+        return smooth(x + e, r - A @ e)[0]
+
+    return cycle, coarse
+
+
+def pcg(A, b, x, precondition, stop, steps):
+    """Preconditioned CG with fresh arrays each step (``fem._pcg``'s contract)."""
+    r, p, rz = b - A @ x, np.zeros_like(x), 1.0
+    for k in range(fem._CG_MAX_ITER + 1):
+        if k == fem._CG_MAX_ITER or fem._dot(r, r) <= stop * stop:
+            steps.append(k)
+            return x
+        z = precondition(r)
+        rz, rz_old = fem._dot(r, z), rz
+        p = z + (rz / rz_old) * p
+        q = A @ p
+        alpha = rz / fem._dot(p, q)
+        x, r = x + alpha * p, r - alpha * q

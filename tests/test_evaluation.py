@@ -9,11 +9,11 @@ from dataclasses import astuple, replace
 import numpy as np
 import pytest
 
-from conetorsion import (GAMMA0, GAMMA1, alternative_center, assemble,
-                         compute_center, deficits, identity_residual, max_depth,
-                         max_gradient, normal_derivative, normal_span,
-                         rectangle_mesh, refine, solve, triangulate,
-                         u_distance_bounds)
+from conetorsion import (GAMMA0, GAMMA1, CenterError, alternative_center,
+                         assemble, compute_center, deficits, identity_residual,
+                         max_depth, max_gradient, normal_derivative,
+                         normal_span, rectangle_mesh, refine, solve,
+                         triangulate, u_distance_bounds)
 from conetorsion.fem import FemField, bary_gradients, build_dofmap
 from conetorsion.geometry import boundary_partition
 from conetorsion.mesher import _areas, _tag_edges, boundary_edges_of
@@ -359,12 +359,16 @@ def test_flux_report_and_identity_match_earlier_flux_paths(solves):
             assert (rep.R, rep.m, float(np.min(flux.values)),
                     int(np.count_nonzero(flux.collar))) == _deficits_flux_oracle(u)
             columns = (rep.identity_lhs, rep.identity_rhs, rep.gamma1_term,
-                       rep.identity_residual, rep.extras["identity_lhs_exact_trace"])
+                       rep.identity_residual)
             if _center_violated_oracle(u.mesh, center.z):
                 assert all(math.isnan(c) for c in columns)
+                with pytest.raises(CenterError):
+                    identity_residual(u, center)
                 nan_rows += 1
             else:
-                assert columns == _identity_oracle(u, center.z, R=rep.R)
+                exact_trace = identity_residual(u, center).lhs_exact_trace
+                assert columns + (exact_trace,) == _identity_oracle(
+                    u, center.z, R=rep.R)
         assert astuple(identity_residual(u, z)) == _identity_oracle(u, z.z)
     assert nan_rows == 2        # the free centers of both quarter-cone solves
     assert collar_minima == 4   # the saddle on both quarter cones, 2 and 3 points

@@ -376,13 +376,18 @@ def test_solve_records_the_factor_fill(quarter_solve):
 def test_prolongation_maps_p1_interpolants_to_p2_interpolants(quarter_solve):
     from conetorsion.fem import _prolongation
     affine = lambda x, y: 0.5 - 2.0 * x + 0.25 * y
+    p1_to_p2 = lambda d: _prolongation(d.n_vertices, d.edge_keys)
     # dyadic vertices: every product and mean is exact
     mesh = rectangle_mesh(4, 4)
     p1, p2 = interpolate(mesh, 1, affine), interpolate(mesh, 2, affine)
-    assert np.array_equal(_prolongation(p2.dofmap) @ p1.coeffs, p2.coeffs)
+    assert np.array_equal(p1_to_p2(p2.dofmap) @ p1.coeffs, p2.coeffs)
+    # the refine record gives P1 on the parent -> P1 on the child
+    child = refine(mesh)
+    assert np.array_equal(_prolongation(*child._cache["parent"]) @ p1.coeffs,
+                          interpolate(child, 1, affine).coeffs)
     mesh = quarter_solve.mesh
     p1, p2 = interpolate(mesh, 1, affine), interpolate(mesh, 2, affine)
-    np.testing.assert_allclose(_prolongation(p2.dofmap) @ p1.coeffs, p2.coeffs,
+    np.testing.assert_allclose(p1_to_p2(p2.dofmap) @ p1.coeffs, p2.coeffs,
                                rtol=0, atol=1e-15)
 
 
@@ -429,15 +434,101 @@ def test_cg_degree_one_converges_in_one_iteration(quarter_solve, monkeypatch):
 
 def test_a_broken_cycle_fails_the_residual_check(quarter_spec, monkeypatch):
     from conetorsion import fem
-    real_cycle, real_pcg = fem._two_level, fem._pcg
+    real_pcg = fem._pcg
     steps = []
     monkeypatch.setattr(fem, "_CG_MIN_DOFS", 0)
-    monkeypatch.setattr(fem, "_two_level",
-                        lambda *args: (lambda r: r, real_cycle(*args)[1]))
+    monkeypatch.setattr(fem, "_two_level", lambda A, P, coarse: lambda r: r)
     monkeypatch.setattr(fem, "_pcg", lambda *args: real_pcg(*args[:-1], steps))
     with pytest.raises(FemError, match="relative residual"):
         solve(assemble(triangulate(quarter_spec, 0.1), 2))
     assert steps == [fem._CG_MAX_ITER, fem._CG_MAX_ITER]
+
+
+def test_a_broken_inner_cycle_fails_the_residual_check(quarter_spec,
+                                                       monkeypatch):
+    # a sign-flipped P1 -> parent P1 cycle leaves M indefinite; an inner cycle
+    # that is only weak (identity, zero) still converges, in more steps
+    from conetorsion import fem
+    real_cycle, real_pcg = fem._two_level, fem._pcg
+    steps, flipped = [], []
+
+    def flip_inner(A, P, coarse):
+        cycle = real_cycle(A, P, coarse)
+        if not isinstance(getattr(coarse, "__self__", None), fem.SpdFactor):
+            return cycle
+        flipped.append(A.shape[0])       # the P1 level above the factor
+        return lambda r: -cycle(r)
+
+    monkeypatch.setattr(fem, "_CG_MIN_DOFS", 0)
+    monkeypatch.setattr(fem, "_two_level", flip_inner)
+    monkeypatch.setattr(fem, "_pcg", lambda *args: real_pcg(*args[:-1], steps))
+    system = assemble(refine(triangulate(quarter_spec, 0.1)), 2)
+    with pytest.raises(FemError, match="relative residual"):
+        solve(system)
+    assert len(flipped) == 1
+    assert steps == [fem._CG_MAX_ITER, fem._CG_MAX_ITER]
+
+
+def test_an_unrefined_mesh_keeps_the_two_level_cycle(pert_quarter_spec,
+                                                     monkeypatch):
+    # no refine record: the whole-array reference cycle and CG, bit for bit
+    from conetorsion import fem
+    from tests.oracles import pcg, two_level_cycle
+    system = assemble(triangulate(pert_quarter_spec, 0.05), 2)
+    assert "parent" not in system.mesh._cache
+    monkeypatch.setattr(fem, "_CG_MIN_DOFS", 0)
+    u = solve(system)
+    monkeypatch.setattr(fem, "_preconditioner",
+                        lambda A, sys_, free: two_level_cycle(A, sys_.dofmap, free))
+    monkeypatch.setattr(fem, "_pcg", pcg)
+    ref = solve(system)
+    assert u.diagnostics["solver"] == "cg"
+    assert u.diagnostics["cg_iterations"] == ref.diagnostics["cg_iterations"]
+    assert u.diagnostics["lu_nnz"] == ref.diagnostics["lu_nnz"]
+    assert u.coeffs.tobytes() == ref.coeffs.tobytes()
+
+
+def test_three_level_preconditioner_is_symmetric_positive(pert_quarter_spec):
+    # quarter4 refined once: P2 -> P1 on the mesh -> P1 on its parent
+    from conetorsion import fem
+    mesh = refine(triangulate(pert_quarter_spec, 0.025))
+    system = assemble(mesh, 2)
+    A = _reduced(system)[0]
+    free = np.setdiff1d(np.arange(system.matrix.shape[0]), system.dirichlet)
+    cycle, lu = fem._preconditioner(A, system, free)
+    n_parent = mesh._cache["parent"][0]
+    assert len(lu._perm) == np.count_nonzero(free < n_parent)
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        x, y = rng.standard_normal((2, len(free)))
+        xMy, yMx = x @ cycle(y), y @ cycle(x)
+        assert abs(xMy - yMx) <= 1e-12 * abs(xMy)
+        assert x @ cycle(x) > 0 and y @ cycle(y) > 0
+
+
+def test_solve_holds_no_whole_matrix_temporaries(pert_quarter_spec):
+    # quarter4 refined once: 33,856 free dofs.  tracemalloc sees numpy's
+    # buffers (not SuperLU's).  The traced peak of solve measured 2.35x the
+    # bytes of the reduced matrix; an abs(A) copy for the Gershgorin bound
+    # made it 2.67x, and holding A[free] through the solve 3.35x.
+    import tracemalloc
+    system = assemble(refine(triangulate(pert_quarter_spec, 0.025)), 2)
+    A = _reduced(system)[0]
+    nbytes = A.data.nbytes + A.indices.nbytes + A.indptr.nbytes
+    del A
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    base = tracemalloc.get_traced_memory()[0]
+    try:
+        u = solve(system)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert u.diagnostics["solver"] == "cg"
+    assert peak < 2.5 * nbytes
 
 
 def test_small_or_poorly_shaped_systems_keep_the_direct_path(quarter_spec,

@@ -7,7 +7,8 @@ import pytest
 from conetorsion import (GAMMA0, GAMMA1, MeshError, boundary_partition,
                          rectangle_mesh, refine, triangulate, write_mesh)
 from conetorsion import mesher
-from conetorsion.fem import bary_gradients
+from conetorsion.mesher import edge_key
+from conetorsion.fem import bary_gradients, build_dofmap
 from conetorsion.geometry import polyline_distance
 from conetorsion.quantities import edge_trace
 from tests.oracles import domain_area, gamma0_length
@@ -158,6 +159,24 @@ def test_refine_without_spec_keeps_tags():
     child = refine(mesh)
     assert child.n_triangles == 4 * mesh.n_triangles
     assert set(child.boundary_tags.tolist()) == {GAMMA0}
+
+
+@pytest.mark.parametrize("with_spec", [True, False])
+def test_refine_records_the_parent_edges(pert_quarter_spec, with_spec):
+    # both branches of refine: a spec mesh, and a re-tagged copy without one
+    mesh = (triangulate(pert_quarter_spec, 0.1) if with_spec
+            else rectangle_mesh(4, 3))
+    child = refine(mesh)
+    nv, keys = child._cache["parent"]
+    assert nv == mesh.n_vertices
+    assert np.array_equal(keys, build_dofmap(mesh, 2).edge_keys)
+    assert not any(isinstance(v, mesher.TaggedMesh) for v in child._cache.values())
+    # child vertex nv + i is the midpoint of edge i, or its projection on GAMMA0
+    V = mesh.vertices
+    moved = np.any(child.vertices[nv:] != 0.5 * (V[keys // nv] + V[keys % nv]), axis=1)
+    on_gamma0 = np.isin(keys, edge_key(mesh.gamma0_edges(), nv))
+    assert not np.any(moved & ~on_gamma0)
+    assert np.any(moved) == with_spec
 
 
 # ---------------------------------------------------------------------------

@@ -192,8 +192,9 @@ def test_identity_exact_trace_variant_recorded(pert_disk_solve):
     # the frozen-N variant stays within a few percent of the consistent one
     assert ident.lhs_exact_trace == pytest.approx(ident.lhs, rel=0.2)
     rep = pert_disk_solve.report
-    assert rep.extras["identity_lhs_exact_trace"] == pytest.approx(
-        ident.lhs_exact_trace, rel=1e-12)
+    assert (rep.identity_lhs, rep.identity_rhs, rep.gamma1_term,
+            rep.identity_residual) == (ident.lhs, ident.rhs, ident.gamma1_term,
+                                       ident.residual)
 
 
 # ---------------------------------------------------------------------------
