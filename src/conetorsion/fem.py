@@ -28,7 +28,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-from .mesher import GAMMA0, TaggedMesh, edge_key, triangle_edges
+from .mesher import GAMMA0, TaggedMesh
 from .quadrature import TRI_POINTS, TRI_WEIGHTS
 
 
@@ -93,7 +93,7 @@ class DofMap:
     degree: int
     node_xy: np.ndarray        # (ndof, 2)
     elem_dofs: np.ndarray      # (nt, 3) or (nt, 6)
-    edge_keys: np.ndarray      # sorted edge keys (mesher.edge_key); edge i owns dof nv + i
+    edge_keys: np.ndarray      # the mesh's edge_table().keys; edge i owns dof nv + i
     n_vertices: int
 
     @property
@@ -108,20 +108,12 @@ def build_dofmap(mesh: TaggedMesh, degree: int) -> DofMap:
     nv = len(V)
     if degree == 1:
         return DofMap(1, V.copy(), T.copy(), np.empty(0, dtype=np.int64), nv)
-    keys, inverse = np.unique(edge_key(triangle_edges(T), nv), return_inverse=True)
+    edges = mesh.edge_table()
+    keys = edges.keys
     mids = 0.5 * (V[keys // nv] + V[keys % nv])
     node_xy = np.vstack([V, mids])
-    elem_dofs = np.hstack([T, nv + inverse.reshape(3, -1).T])
+    elem_dofs = np.hstack([T, nv + edges.elem_edges])
     return DofMap(2, node_xy, elem_dofs, keys, nv)
-
-
-def edge_dofs(dofmap: DofMap, edges: np.ndarray) -> np.ndarray:
-    """Global midpoint dof of each mesh edge (vertex pairs, any direction)."""
-    keys = edge_key(edges, dofmap.n_vertices)
-    idx = np.searchsorted(dofmap.edge_keys, keys)
-    if np.any(idx >= len(dofmap.edge_keys)) or np.any(dofmap.edge_keys[idx] != keys):
-        raise FemError("edge is not an edge of the degree-2 dof map")
-    return dofmap.n_vertices + idx
 
 
 def bary_gradients(mesh: TaggedMesh) -> tuple[np.ndarray, np.ndarray]:
@@ -214,10 +206,9 @@ def assemble(mesh: TaggedMesh, degree: int = 2) -> LinearSystem:
     np.add.at(b, dofmap.elem_dofs.ravel(),
               (-2 * areas[:, None] * shape_integrals).ravel())
 
-    edges = mesh.boundary_edges[gamma0]
-    fixed = [edges.ravel()]
+    fixed = [mesh.boundary_edges[gamma0].ravel()]
     if degree == 2:
-        fixed.append(edge_dofs(dofmap, edges))
+        fixed.append(dofmap.n_vertices + mesh.edge_table().boundary[gamma0])
     dirichlet = np.unique(np.concatenate(fixed)).astype(np.int64)
     return LinearSystem(A, b, dirichlet, dofmap, mesh)
 
@@ -294,21 +285,6 @@ class FemField:
 # crossover (ROADMAP, Settled, "CG selection" table)
 _CG_MIN_DOFS, _CG_MIN_ANGLE = 12_000, 20.0
 _CG_RTOL, _CG_MAX_ITER = 1e-12, 100
-
-
-def _boundary_edge_elements(mesh: TaggedMesh) -> np.ndarray:
-    """Owning element of each row of ``mesh.boundary_edges`` (cached, read-only)."""
-    owner = mesh._cache.get("boundary_owner")
-    if owner is None:
-        T, nv = mesh.triangles, mesh.n_vertices
-        keys = edge_key(triangle_edges(T), nv)
-        order = np.argsort(keys)
-        # a boundary edge belongs to exactly one triangle, so its key is unique
-        pos = np.searchsorted(keys[order], edge_key(mesh.boundary_edges, nv))
-        owner = order[pos] % len(T)
-        owner.flags.writeable = False
-        mesh._cache["boundary_owner"] = owner
-    return owner
 
 
 class SpdFactor:
@@ -512,12 +488,13 @@ def solve(system: LinearSystem, curved_correction: bool = True) -> FemField:
     mesh, dofmap = system.mesh, system.dofmap
     if curved_correction and dofmap.degree == 2 and mesh.spec is not None:
         rows = np.flatnonzero(mesh.boundary_tags == GAMMA0)
-        dofs = edge_dofs(dofmap, mesh.boundary_edges[rows])
+        edges = mesh.edge_table()
+        dofs = dofmap.n_vertices + edges.boundary[rows]
         m = dofmap.node_xy[dofs]
         p = mesh.spec.project_to_gamma0(m)
         # the centroid gradient keeps the correction uniformly first order
         grad = FemField(mesh, dofmap.degree, u, dofmap).gradients(
-            _boundary_edge_elements(mesh)[rows], np.full(3, 1.0 / 3.0))
+            edges.owners[rows], np.full(3, 1.0 / 3.0))
         gvals = np.zeros(len(fixed))
         gvals[np.searchsorted(fixed, dofs)] = -np.einsum("ex,ex->e", grad, p - m)
         u = solve_with(gvals, u[free])

@@ -54,9 +54,11 @@ class TaggedMesh:
     Triangles are positively oriented; boundary edges are directed so the
     interior lies on their left (outward normal = rotate(-90) of the edge).
     ``spec`` carries the analytic boundary for re-projection, when known.
-    Results derived from the mesh alone (its refinement, distance fields) are
-    kept in ``_cache``; ``dataclasses.replace`` starts the copy with an empty
-    one, so a rotated or re-tagged mesh never sees the original's results.
+    Results derived from the mesh alone (its edge table, refinement, distance
+    fields) are kept in ``_cache``; ``dataclasses.replace`` starts the copy
+    with an empty one, so a rotated or re-tagged mesh never sees the
+    original's results.  ``boundary_edges`` rows are in the order of
+    ``edge_table().boundary``.
     """
 
     vertices: np.ndarray        # (nv, 2)
@@ -91,6 +93,13 @@ class TaggedMesh:
                 np.linalg.norm(u, axis=1) * np.linalg.norm(w, axis=1))
             best = min(best, float(np.degrees(np.arccos(np.clip(c, -1, 1))).min()))
         return best
+
+    def edge_table(self) -> EdgeTable:
+        """The mesh's ``EdgeTable``, computed once and cached."""
+        table = self._cache.get("edges")
+        if table is None:
+            table = self._cache["edges"] = _edge_table(self.triangles, self.n_vertices)
+        return table
 
     def boundary_normals(self) -> np.ndarray:
         d = self.vertices[self.boundary_edges[:, 1]] - self.vertices[self.boundary_edges[:, 0]]
@@ -190,9 +199,7 @@ def _ring_mesh(spec: DomainSpec, n: int):
         tris.append(np.stack([at(j, inner_i), at(j + 1, outer_i), third],
                              axis=-1).reshape(-1, 3))
     T = np.concatenate(tris)
-    e1 = V[T[:, 1]] - V[T[:, 0]]
-    e2 = V[T[:, 2]] - V[T[:, 0]]
-    flip = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0] < 0
+    flip = _areas(V, T) < 0
     T[flip] = T[flip][:, [0, 2, 1]]
     return V, T
 
@@ -209,16 +216,36 @@ def edge_key(edges: np.ndarray, n_vertices: int) -> np.ndarray:
     return e[:, 0] * n_vertices + e[:, 1]
 
 
-def boundary_edges_of(triangles: np.ndarray) -> np.ndarray:
-    """Directed edges owned by exactly one triangle, in triangle orientation."""
-    edges = triangle_edges(triangles)
-    keys = edge_key(edges, int(triangles.max()) + 1)
-    order = np.argsort(keys)
-    repeated = np.diff(keys[order]) == 0
-    single = np.ones(len(keys), dtype=bool)
-    single[1:] &= ~repeated
-    single[:-1] &= ~repeated
-    return edges[order[single]]
+@dataclass(frozen=True)
+class EdgeTable:
+    """The edges of one triangulation, numbered once (arrays read-only).
+
+    Edge i has the i-th smallest ``edge_key``.  The P2 midpoint dof nv + i and
+    ``refine``'s new vertex nv + i belong to it.  Boundary edges, those of one
+    triangle, come in key order: row j of ``boundary_edges`` is edge
+    ``boundary[j]``, directed as in ``owners[j]``.
+    """
+
+    keys: np.ndarray            # (ne,) sorted edge keys
+    elem_edges: np.ndarray      # (nt, 3) int32 ids of the edges (01, 12, 20) per triangle
+    boundary: np.ndarray        # (nb,) ids of the boundary edges, ascending
+    owners: np.ndarray          # (nb,) triangle of each boundary edge
+    boundary_edges: np.ndarray  # (nb, 2) boundary edges in triangle orientation
+
+
+def _edge_table(T: np.ndarray, nv: int) -> EdgeTable:
+    edges = triangle_edges(T)
+    keys, first, inverse, counts = np.unique(
+        edge_key(edges, nv), return_index=True, return_inverse=True,
+        return_counts=True)
+    boundary = np.flatnonzero(counts == 1)
+    first = first[boundary]
+    # int32 edge ids (scipy's sparse index type) halve what each mesh holds
+    table = EdgeTable(keys, inverse.astype(np.int32).reshape(3, -1).T, boundary,
+                      first % len(T), edges[first])
+    for a in vars(table).values():
+        a.flags.writeable = False
+    return table
 
 
 def _tag_edges(spec: DomainSpec, vertices: np.ndarray, edges: np.ndarray) -> np.ndarray:
@@ -243,7 +270,7 @@ def triangulate(spec: DomainSpec, h_target: float) -> TaggedMesh:
     boundary vertices land on the analytic boundary by construction.  Obtuse
     GAMMA0/GAMMA1 corners are then graded (see ``CORNER_GRADE``).
     """
-    if h_target <= 0:
+    if not h_target > 0:                  # NaN too
         raise MeshError("h_target must be positive")
     if h_target >= domain_diameter(spec):
         raise MeshError("h_target must be smaller than the domain diameter")
@@ -336,53 +363,50 @@ def _grade_corners(mesh: TaggedMesh, h_floor: float) -> TaggedMesh:
 
 def _finalize(spec: DomainSpec | None, V: np.ndarray, T: np.ndarray) -> TaggedMesh:
     _check_orientation(V, T)
-    edges = boundary_edges_of(T)
+    table = _edge_table(T, len(V))
+    edges = table.boundary_edges
     if spec is not None:
         tags = _tag_edges(spec, V, edges)
     else:
         tags = np.full(len(edges), GAMMA0, dtype=np.int64)
-    return TaggedMesh(V, T, edges, tags, spec)
+    mesh = TaggedMesh(V, T, edges, tags, spec)
+    mesh._cache["edges"] = table
+    return mesh
 
 
 def refine(mesh: TaggedMesh) -> TaggedMesh:
     """Regular 1->4 refinement; new GAMMA0 vertices projected onto the graph.
 
     Memoized on the mesh: refining the same mesh again returns the same child.
-    Child vertex nv + i is the midpoint of the parent's sorted edge key i
-    (projected when on GAMMA0); the child's ``_cache["parent"]`` records the
-    parent's (nv, keys) for the solver's coarsest level.
+    Child vertex nv + i is the midpoint of the parent's edge i (projected when
+    on GAMMA0); the child's ``_cache["parent"]`` records the parent's
+    (nv, ``edge_table().keys``) for the solver's coarsest level.
     """
     if "refine" in mesh._cache:
         return mesh._cache["refine"]
     V, T = mesh.vertices, mesh.triangles
     nv = len(V)
-    keys, inverse = np.unique(edge_key(triangle_edges(T), nv), return_inverse=True)
+    edges = mesh.edge_table()
+    keys = edges.keys
     mid = 0.5 * (V[keys // nv] + V[keys % nv])
 
-    if mesh.spec is not None and np.any(mesh.boundary_tags == GAMMA0):
-        idx = np.searchsorted(keys, edge_key(mesh.gamma0_edges(), nv))
-        mid[idx] = mesh.spec.project_to_gamma0(mid[idx])
+    gamma0 = edges.boundary[mesh.boundary_tags == GAMMA0]
+    if mesh.spec is not None and len(gamma0):
+        mid[gamma0] = mesh.spec.project_to_gamma0(mid[gamma0])
 
     newV = np.vstack([V, mid])
-    m = nv + inverse.reshape(3, -1).T        # midpoints of (01, 12, 20) per tri
-    t0, t1, t2 = T[:, 0], T[:, 1], T[:, 2]
-    m01, m12, m20 = m[:, 0], m[:, 1], m[:, 2]
-    newT = np.concatenate([
-        np.stack([t0, m01, m20], axis=1),
-        np.stack([t1, m12, m01], axis=1),
-        np.stack([t2, m20, m12], axis=1),
-        np.stack([m01, m12, m20], axis=1),
-    ])
+    # vertices t0 t1 t2 and midpoints m01 m12 m20 of each triangle
+    c = np.hstack([T, nv + edges.elem_edges])
+    newT = np.concatenate([c[:, [0, 3, 5]], c[:, [1, 4, 3]], c[:, [2, 5, 4]],
+                           c[:, [3, 4, 5]]])
     new_mesh = _finalize(mesh.spec, newV, newT)
     if mesh.spec is None:
-        # inherit the parent's tags: the midpoint endpoint identifies the parent
-        parent_keys = edge_key(mesh.boundary_edges, nv)
-        order = np.argsort(parent_keys)
+        # inherit the parent's tags: the midpoint endpoint is nv + parent edge id
+        edge_tags = np.empty(len(keys), dtype=mesh.boundary_tags.dtype)
+        edge_tags[edges.boundary] = mesh.boundary_tags
         a, b = new_mesh.boundary_edges.T
-        child_keys = keys[np.where(a >= nv, a, b) - nv]
-        tags = mesh.boundary_tags[order[np.searchsorted(parent_keys[order], child_keys)]]
-        new_mesh = replace(new_mesh, boundary_tags=tags)
-    keys.flags.writeable = False
+        new_mesh = replace(new_mesh,
+                           boundary_tags=edge_tags[np.where(a >= nv, a, b) - nv])
     new_mesh._cache["parent"] = nv, keys
     mesh._cache["refine"] = new_mesh
     return new_mesh

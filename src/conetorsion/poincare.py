@@ -92,9 +92,7 @@ def _smallest_eigs(A, M, k: int = 2, sigma: float = -0.1) -> np.ndarray:
     smallest and ``A - sigma M`` is SPD: one ``factor_spd`` serves every
     solve.  k = 2 is all a caller reads: mu needs the constant mode and the
     first positive value, eta its leading value and, when that is not
-    positive, the next one.  The twelve mu/eta eigensolves of the quarter4
-    benchmark take 375 shift-invert solves this way, against 728 for k = 4
-    near sigma = -1.
+    positive, the next one.
     """
     n = A.shape[0]
     k = min(k, n - 1)

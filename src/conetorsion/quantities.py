@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fem import DegreeError, FemField, _boundary_edge_elements, bary_gradients
+from .fem import DegreeError, FemField, bary_gradients
 from .geometry import (DomainSpec, SpanInfo, boundary_partition, segment_extremes,
                        serrin_radius)
 from .mesher import GAMMA0, GAMMA1, TaggedMesh
@@ -57,7 +57,7 @@ class EdgeTrace:
 def edge_trace(mesh: TaggedMesh, tag: int, n_gauss: int = 3) -> EdgeTrace:
     rows = np.flatnonzero(mesh.boundary_tags == tag)
     edges = mesh.boundary_edges[rows]
-    elements = _boundary_edge_elements(mesh)[rows]
+    elements = mesh.edge_table().owners[rows]
     a = mesh.vertices[edges[:, 0]]
     b = mesh.vertices[edges[:, 1]]
     d = b - a
@@ -271,12 +271,10 @@ class DeficitReport:
         return ",".join(cell(self._value(name)) for name in CSV_COLUMNS)
 
     def column(self, name: str) -> float:
-        """A numeric CSV column (C_bound None reads NaN) or an ``extras`` entry."""
+        """A numeric CSV column (C_bound None reads NaN)."""
         if name in CSV_COLUMNS and name not in _LABEL_COLUMNS:
             v = self._value(name)
             return float("nan") if v is None else float(v)
-        if name in self.extras:
-            return float(self.extras[name])
         raise KeyError(name)
 
 

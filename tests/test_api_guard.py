@@ -9,7 +9,8 @@ signature it calls, every ``bench/tracer.py`` span names a function whose
 signature has the arguments its counter reads, every sweep column
 ``bench/workloads.py`` reports is one that ``SweepRow.column`` answers,
 every name ``conetorsion/__init__.py`` imports is read somewhere in the
-library, the demos or the benchmark (tests aside), every config key the
+library, the demos or the benchmark (tests aside), only ``mesher.py`` numbers
+mesh edges (the rest reads ``TaggedMesh.edge_table``), every config key the
 loader accepts is documented in ``README.md``, the README example
 config loads, and ``import conetorsion`` leaves the scipy packages below
 unloaded.
@@ -154,6 +155,24 @@ def test_every_export_has_a_caller_outside_tests():
     exported = [alias.asname or alias.name for node in ast.parse(INIT.read_text()).body
                 if isinstance(node, ast.ImportFrom) for alias in node.names]
     assert [name for name in exported if name not in read] == []
+
+
+def test_only_the_mesher_numbers_edges():
+    """No library module but mesher.py reads ``edge_key`` or
+    ``triangle_edges`` (as a name, an attribute or an import)."""
+    numbering = {"edge_key", "triangle_edges"}
+    for path in (ROOT / "src" / "conetorsion").glob("*.py"):
+        if path.name == "mesher.py":
+            continue
+        read = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                read.update(alias.name for alias in node.names)
+        assert not read & numbering, f"{path.name} reads {sorted(read & numbering)}"
 
 
 @pytest.mark.parametrize("section,key", sorted(

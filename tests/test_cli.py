@@ -133,6 +133,15 @@ def test_mesh_target_too_large_is_numerical_error(tmp_path, capsys):
     assert code == cli.EXIT_NUMERICAL
 
 
+@pytest.mark.parametrize("h_target", ["-1", "nan"])
+def test_non_positive_mesh_target_is_numerical_error(tmp_path, capsys, h_target):
+    body = QUARTER.replace("h_target = 0.1", f"h_target = {h_target}")
+    code = main(["solve", "--config", write_config(tmp_path, body),
+                 "--out", str(tmp_path)])
+    assert code == cli.EXIT_NUMERICAL
+    assert "error: h_target must be positive" in capsys.readouterr().err
+
+
 def test_degree_one_is_validation_error(tmp_path, capsys):
     body = QUARTER.replace("degree = 2", "degree = 1")
     code = main(["solve", "--config", write_config(tmp_path, body),

@@ -16,7 +16,7 @@ from conetorsion import (GAMMA0, GAMMA1, CenterError, alternative_center,
                          triangulate, u_distance_bounds)
 from conetorsion.fem import FemField, bary_gradients, build_dofmap
 from conetorsion.geometry import boundary_partition
-from conetorsion.mesher import _areas, _tag_edges, boundary_edges_of
+from conetorsion.mesher import _areas, _tag_edges
 from conetorsion.quadrature import TRI_POINTS, TRI_WEIGHTS
 from conetorsion.quantities import collar_edge_mask, edge_trace
 from tests.oracles import corners, gradients_oracle, interpolate, values_oracle
@@ -308,8 +308,10 @@ def test_quadrature_points_and_edge_barycentrics_match_oracles(meshes):
 def test_mesh_edges_tags_and_refinement_match_oracles(meshes):
     specless = replace(meshes[1], spec=None)     # tags inherited on refinement
     for mesh in meshes + [specless]:
-        assert np.array_equal(boundary_edges_of(mesh.triangles),
+        # the copy recomputes its edge table from the triangles
+        assert np.array_equal(mesh.edge_table().boundary_edges,
                               _boundary_edges_oracle(mesh.triangles))
+        assert np.array_equal(mesh.boundary_edges, mesh.edge_table().boundary_edges)
         if mesh.spec is not None:
             assert np.array_equal(_tag_edges(mesh.spec, mesh.vertices, mesh.boundary_edges),
                                   _tag_edges_oracle(mesh.spec, mesh.vertices,

@@ -268,7 +268,7 @@ def oracle_meshes(disk_spec, quarter_spec):
 
 
 def test_dofmap_and_owners_match_dict_oracles(oracle_meshes):
-    from conetorsion.fem import _boundary_edge_elements, build_dofmap, edge_dofs
+    from conetorsion.fem import build_dofmap
     from conetorsion.quantities import collar_edge_mask, edge_trace
     for mesh in oracle_meshes:
         elem_dofs, edge_nodes = _dofmap_oracle(mesh)
@@ -276,24 +276,18 @@ def test_dofmap_and_owners_match_dict_oracles(oracle_meshes):
         assert np.array_equal(dofmap.elem_dofs, elem_dofs)
         assert np.array_equal(assemble(mesh, 2).dirichlet,
                               _dirichlet_oracle(mesh, edge_nodes))
-        edges = mesh.boundary_edges
+        table, edges = mesh.edge_table(), mesh.boundary_edges
         assert np.array_equal(
-            edge_dofs(dofmap, edges),
+            mesh.n_vertices + table.boundary,
             [edge_nodes[tuple(sorted(e))] for e in edges.tolist()])
         owner = _boundary_owner_oracle(mesh)
-        assert np.array_equal(_boundary_edge_elements(mesh),
+        assert np.array_equal(table.owners,
                               [owner[tuple(sorted(e))] for e in edges.tolist()])
         tr = edge_trace(mesh, GAMMA0, 3)
         corners = set(np.unique(mesh.boundary_edges[mesh.boundary_tags == GAMMA1]))
         assert np.array_equal(collar_edge_mask(mesh, tr), [
             int(a) in corners or int(b) in corners
             for a, b in mesh.boundary_edges[tr.edge_rows]])
-
-
-def test_edge_dofs_rejects_a_non_edge(quarter_solve):
-    from conetorsion.fem import edge_dofs
-    with pytest.raises(FemError):
-        edge_dofs(quarter_solve.system.dofmap, [[0, quarter_solve.mesh.n_vertices - 1]])
 
 
 def _reduced(system):

@@ -78,8 +78,10 @@ def test_boundary_edges_single_owner(quarter_spec):
 
 
 def test_rejects_h_target_beyond_diameter(quarter_spec):
-    with pytest.raises(MeshError):
-        triangulate(quarter_spec, 10.0)
+    # and every target that is not positive, NaN included
+    for h_target in (10.0, 0.0, -1.0, float("nan")):
+        with pytest.raises(MeshError):
+            triangulate(quarter_spec, h_target)
 
 
 def _spy_attempts(monkeypatch, invert_first=False):
@@ -161,6 +163,27 @@ def test_refine_without_spec_keeps_tags():
     assert set(child.boundary_tags.tolist()) == {GAMMA0}
 
 
+def test_edge_table_is_seeded_read_only_and_recomputed_on_a_copy(
+        pert_quarter_spec):
+    mesh = triangulate(pert_quarter_spec, 0.1)
+    table = mesh._cache["edges"]
+    assert mesh.edge_table() is table
+    assert not any(a.flags.writeable for a in vars(table).values())
+    nv, T = mesh.n_vertices, mesh.triangles
+    # edge ids name the triangle edges; a boundary edge is one of its owner's
+    assert np.array_equal(table.keys[table.elem_edges.T.ravel()],
+                          edge_key(mesher.triangle_edges(T), nv))
+    assert table.boundary_edges is mesh.boundary_edges
+    assert np.array_equal(table.keys[table.boundary],
+                          edge_key(mesh.boundary_edges, nv))
+    assert np.all((T[table.owners][:, :, None]
+                   == mesh.boundary_edges[:, None, :]).any(axis=1))
+    copy = replace(mesh, spec=None)
+    assert "edges" not in copy._cache
+    for name, a in vars(copy.edge_table()).items():
+        assert np.array_equal(a, getattr(table, name)), name
+
+
 @pytest.mark.parametrize("with_spec", [True, False])
 def test_refine_records_the_parent_edges(pert_quarter_spec, with_spec):
     # both branches of refine: a spec mesh, and a re-tagged copy without one
@@ -169,7 +192,8 @@ def test_refine_records_the_parent_edges(pert_quarter_spec, with_spec):
     child = refine(mesh)
     nv, keys = child._cache["parent"]
     assert nv == mesh.n_vertices
-    assert np.array_equal(keys, build_dofmap(mesh, 2).edge_keys)
+    # one edge table: the parent record and the P2 dof map hold its keys
+    assert keys is mesh.edge_table().keys is build_dofmap(mesh, 2).edge_keys
     assert not any(isinstance(v, mesher.TaggedMesh) for v in child._cache.values())
     # child vertex nv + i is the midpoint of edge i, or its projection on GAMMA0
     V = mesh.vertices

@@ -278,6 +278,15 @@ def test_csv_header_and_row_shape(quarter_solve):
         float(f)
 
 
+def test_column_answers_numeric_csv_columns_only(quarter_solve):
+    from dataclasses import replace
+    report = replace(quarter_solve.report, extras={"max_grad": 1.0})
+    assert report.column("deficit_1") == report.deficit_1
+    for name in ("domain_id", "max_grad", "no_such_column"):
+        with pytest.raises(KeyError):
+            report.column(name)
+
+
 # ---------------------------------------------------------------------------
 # pointwise bounds
 # ---------------------------------------------------------------------------
