@@ -11,8 +11,8 @@ import os
 
 import numpy as np
 
-from conetorsion import (ConstantRadius, fit_exponent, make_family,
-                         make_sector_domain, run_sweep, verify_theorems,
+from conetorsion import (ConstantRadius, make_family, make_sector_domain,
+                         run_sweep, sweep_fits, verify_theorems,
                          write_sweep_csv)
 from conetorsion.svgplot import write_scatter_svg
 
@@ -33,8 +33,8 @@ for row in result.rows:
           f"{r.pseudodistance:10.5f} {r.rho_gap:10.5f} {r.C_bound:8.3f} "
           f"{str(r.C_bound_satisfied):>9}")
 
-fits = [fit_exponent(result, "deficit_2", "pseudodistance"),
-        fit_exponent(result, "deficit_1", "rho_gap")]
+# pseudodistance ~ deficit_2 (Lipschitz), then rho_gap ~ deficit_1 (profile)
+fits = sweep_fits(result)
 print(f"\nlog-log slope pseudodistance vs deficit_2: {fits[0].slope:.4f} "
       f"(r2 {fits[0].r_squared:.5f}) -> Lipschitz")
 print(f"log-log slope rho_gap vs deficit_1:        {fits[1].slope:.4f} "

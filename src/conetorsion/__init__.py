@@ -21,7 +21,7 @@ from .poincare import (EigenError, PoincareEstimate, eta_estimate,
                        weighted_hessian_l2)
 from .stability import (ExponentFit, Family, SweepError, SweepResult,
                         TheoremVerdict, fit_exponent, fit_exponent_xy,
-                        make_family, run_pipeline, run_sweep, verify_theorems,
-                        write_sweep_csv)
+                        make_family, run_pipeline, run_sweep, sweep_fits,
+                        verify_theorems, write_sweep_csv)
 
 __version__ = "0.1.0"

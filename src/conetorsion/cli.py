@@ -18,9 +18,8 @@ from dataclasses import dataclass
 
 from . import fem, poincare, quantities, stability, svgplot
 from .geometry import (ConstantRadius, DomainError, DomainSpec,
-                       boundary_partition, make_sector_domain, normal_span,
-                       parse_radius_spec)
-from .mesher import MeshError, refine, triangulate, write_mesh
+                       make_sector_domain, parse_radius_spec)
+from .mesher import MeshError, write_mesh
 from .quantities import DeficitReport
 
 EXIT_OK = 0
@@ -213,30 +212,19 @@ def cmd_solve(cfg: RunConfig, out_dir: str, require_constant: bool = False) -> i
 
 def cmd_identity(cfg: RunConfig, out_dir: str, strict: bool) -> int:
     """Identity residual across refinements plus the regularity surrogate."""
-    part = boundary_partition(cfg.spec)
-    span = normal_span(part)
-    mesh = triangulate(cfg.spec, cfg.h_target)
     rows = ["level,h_max,identity_lhs,identity_rhs,gamma1_term,"
             "identity_residual,max_grad,hessian_l2,blowup_flag"]
-    residuals, prev = [], None
-    for level in range(cfg.refinements):
-        u = fem.solve(fem.assemble(mesh))
-        z = quantities.compute_center(u, span)
-        ident = quantities.identity_residual(u, z)
-        gmax = quantities.max_gradient(u)
-        hl2 = poincare.weighted_hessian_l2(u, 0.0, part)
-        flag = prev is not None and (gmax > 2 * prev[0] or hl2 > 2 * prev[1])
-        rows.append(f"{level},{mesh.h_max:.12g},{ident.lhs:.12g},"
+    residuals = []
+    ladder = stability.identity_ladder(cfg.spec, cfg.h_target, cfg.refinements)
+    for level, row in enumerate(ladder):
+        ident = row.parts
+        rows.append(f"{level},{row.h_max:.12g},{ident.lhs:.12g},"
                     f"{ident.rhs:.12g},{ident.gamma1_term:.12g},"
-                    f"{ident.residual:.12g},{gmax:.12g},{hl2:.12g},"
-                    f"{str(bool(flag)).lower()}")
+                    f"{ident.residual:.12g},{row.max_grad:.12g},"
+                    f"{row.hessian_l2:.12g},{str(row.blowup).lower()}")
         residuals.append(ident.residual)
-        prev = (gmax, hl2)
-        if level + 1 < cfg.refinements:
-            mesh = refine(mesh)
     _write_lines(os.path.join(out_dir, f"{cfg.prefix}_identity.csv"), rows)
-    decreasing = all(residuals[i + 1] <= residuals[i] * 1.2
-                     for i in range(len(residuals) - 1))
+    decreasing = stability.identity_decreasing(residuals)
     print("identity residuals:", " ".join(f"{r:.3e}" for r in residuals),
           "(decreasing)" if decreasing else "(NOT decreasing)")
     if not decreasing and strict:
@@ -245,25 +233,12 @@ def cmd_identity(cfg: RunConfig, out_dir: str, strict: bool) -> int:
 
 
 def cmd_poincare(cfg: RunConfig, out_dir: str) -> int:
-    part = boundary_partition(cfg.spec)
-    span = normal_span(part)
-    if "eta" in cfg.kinds and span.k == 0:
-        raise ConfigError("eta needs a domain with GAMMA1 (k >= 1)")
-    mesh = triangulate(cfg.spec, cfg.h_target)
-    seg = part.all_segments()
     rows = ["kind,alpha,level,value,converged_flag"]
-    for kind in cfg.kinds:
-        for alpha in cfg.alphas:
-            if kind == "mu":
-                est = poincare.mu_estimate(mesh, alpha, levels=cfg.poincare_levels,
-                                           boundary=(seg[0], seg[1]))
-            else:
-                est = poincare.eta_estimate(mesh, part, span, alpha,
-                                            levels=cfg.poincare_levels)
-            for level in range(len(est.history)):
-                rows.append(est.csv_row(level))
-            print(f"{kind} alpha={alpha:g}: {est.value:.6g} "
-                  f"(converged={est.converged})")
+    for est in stability.poincare_table(cfg.spec, cfg.h_target, cfg.kinds,
+                                        cfg.alphas, cfg.poincare_levels):
+        rows.extend(est.csv_row(level) for level in range(len(est.history)))
+        print(f"{est.kind} alpha={est.alpha:g}: {est.value:.6g} "
+              f"(converged={est.converged})")
     _write_lines(os.path.join(out_dir, f"{cfg.prefix}_poincare.csv"), rows)
     return EXIT_OK
 
@@ -275,10 +250,7 @@ def cmd_sweep(cfg: RunConfig, out_dir: str, threads: int, svg: bool,
     family = stability.make_family(cfg.spec, cfg.sweep_mode, cfg.sweep_eps)
     result = stability.run_sweep(family, cfg.h_target, threads=threads,
                                  label=cfg.prefix)
-    fits = []
-    if len(cfg.sweep_eps) >= 3:
-        fits = [stability.fit_exponent(result, "deficit_2", "pseudodistance"),
-                stability.fit_exponent(result, "deficit_1", "rho_gap")]
+    fits = stability.sweep_fits(result)
     stability.write_sweep_csv(result, fits,
                               os.path.join(out_dir, f"{cfg.prefix}_sweep.csv"))
     if svg:

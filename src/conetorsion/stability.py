@@ -1,4 +1,5 @@
-"""Perturbation families, full-pipeline sweeps and theorem verdicts.
+"""Perturbation families, full-pipeline sweeps, refinement ladders and
+theorem verdicts.
 
 A family perturbs a base domain by r(t) -> r(t) (1 + eps cos(m t)).  Each
 member runs mesh -> solve -> functionals; one deficit row per member.  The
@@ -6,7 +7,8 @@ Poincare combination Lambda is estimated once on the base member's mesh and
 reused across rows.
 Rows are independent solves and may run on a thread pool; every row is
 internally sequential and deterministic, so results do not depend on the
-worker count.
+worker count.  A ladder runs several solves or eigensolves on one domain:
+the volume identity over refinements, the mu/eta table over weights.
 """
 
 from __future__ import annotations
@@ -21,9 +23,9 @@ from . import fem, poincare
 from .geometry import (BoundaryPartition, DomainSpec, ScaledRadius, SpanInfo,
                        boundary_partition, domain_diameter, DomainError,
                        exterior_sphere_radius, make_sector_domain, normal_span)
-from .mesher import TaggedMesh, triangulate
-from .quantities import (DeficitReport, compute_center, deficits, max_depth,
-                         max_gradient)
+from .mesher import TaggedMesh, refine, triangulate
+from .quantities import (DeficitReport, IdentityParts, compute_center, deficits,
+                         identity_residual, max_depth, max_gradient)
 
 
 class SweepError(RuntimeError):
@@ -68,12 +70,19 @@ class PipelineResult:
 def estimate_lambda(mesh: TaggedMesh, partition: BoundaryPartition,
                     span: SpanInfo):
     """(Lambda_{2,1}, mu) on one mesh; eta enters only when GAMMA1 is present."""
-    seg = partition.all_segments()
-    mu = poincare.mu_estimate(mesh, 1.0, boundary=(seg[0], seg[1]))
+    mu = _mu(mesh, partition, 1.0)
     eta = None
     if span.k >= 1:
         eta = poincare.eta_estimate(mesh, partition, span, 1.0)
     return poincare.lambda_constant(span.k, mu, eta), mu
+
+
+def _mu(mesh: TaggedMesh, partition: BoundaryPartition, alpha: float,
+        levels: int = 1) -> poincare.PoincareEstimate:
+    """mu weighted by the distance to the whole boundary, GAMMA0 and GAMMA1."""
+    seg = partition.all_segments()
+    return poincare.mu_estimate(mesh, alpha, levels=levels,
+                                boundary=(seg[0], seg[1]))
 
 
 def run_pipeline(spec: DomainSpec, h_target: float, degree: int = 2, *,
@@ -95,6 +104,66 @@ def _attach_extras(rep: DeficitReport, spec: DomainSpec, u: fem.FemField) -> Non
     rep.extras["max_minus_u"] = max_depth(u)
     rep.extras["diameter"] = domain_diameter(spec)
     rep.extras["r_e"] = exterior_sphere_radius(spec)
+
+
+# ---------------------------------------------------------------------------
+# refinement ladders
+# ---------------------------------------------------------------------------
+
+IDENTITY_GROWTH = 1.2   # a residual may grow by this factor and still decrease
+
+
+@dataclass(frozen=True)
+class IdentityLevel:
+    h_max: float
+    parts: IdentityParts
+    max_grad: float
+    hessian_l2: float
+    blowup: bool        # max_grad or hessian_l2 more than doubled since the last level
+
+
+def identity_ladder(spec: DomainSpec, h_target: float, levels: int):
+    """The volume identity on a mesh and its ``levels - 1`` uniform refinements.
+
+    Yields one IdentityLevel per level, coarsest first.  Each level's field
+    is dropped before its row is yielded, and each mesh once it is refined,
+    so the ladder holds one level at a time.
+    """
+    part = boundary_partition(spec)
+    span = normal_span(part)
+    mesh = triangulate(spec, h_target)
+    prev = None
+    for level in range(levels):
+        if level:
+            mesh = refine(mesh)
+        u = fem.solve(fem.assemble(mesh))
+        parts = identity_residual(u, compute_center(u, span))
+        now = max_gradient(u), poincare.weighted_hessian_l2(u, 0.0, part)
+        del u
+        blowup = prev is not None and (now[0] > 2 * prev[0] or now[1] > 2 * prev[1])
+        yield IdentityLevel(mesh.h_max, parts, *now, blowup)
+        prev = now
+
+
+def identity_decreasing(residuals) -> bool:
+    """Each residual is at most IDENTITY_GROWTH times the one before it."""
+    return all(b <= a * IDENTITY_GROWTH for a, b in zip(residuals, residuals[1:]))
+
+
+def poincare_table(spec: DomainSpec, h_target: float, kinds, alphas, levels: int):
+    """One ``levels`` PoincareEstimate per (kind, alpha), kinds outermost, all
+    from one mesh; eta without GAMMA1 is rejected before meshing."""
+    part = boundary_partition(spec)
+    span = normal_span(part)
+    if "eta" in kinds and span.k == 0:
+        raise DomainError("eta needs a domain with GAMMA1 (k >= 1)")
+    mesh = triangulate(spec, h_target)
+    for kind in kinds:
+        for alpha in alphas:
+            if kind == "mu":
+                yield _mu(mesh, part, alpha, levels)
+            else:
+                yield poincare.eta_estimate(mesh, part, span, alpha, levels=levels)
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +259,15 @@ def fit_exponent(result: SweepResult, x_column: str, y_column: str) -> ExponentF
     """
     return fit_exponent_xy(result.column(x_column), result.column(y_column),
                            x_column, y_column)
+
+
+def sweep_fits(result: SweepResult) -> list:
+    """pseudodistance ~ deficit_2 (the Lipschitz bound) and rho_gap ~ deficit_1
+    (the planar gap profile); none below 3 perturbed rows."""
+    if len(result.column("eps")) < 3:
+        return []
+    return [fit_exponent(result, "deficit_2", "pseudodistance"),
+            fit_exponent(result, "deficit_1", "rho_gap")]
 
 
 def fit_exponent_xy(x, y, x_column: str = "", y_column: str = "") -> ExponentFit:

@@ -10,7 +10,8 @@ signature has the arguments its counter reads, every sweep column
 ``bench/workloads.py`` reports is one that ``SweepRow.column`` answers,
 every name ``conetorsion/__init__.py`` imports is read somewhere in the
 library, the demos or the benchmark (tests aside), only ``mesher.py`` numbers
-mesh edges (the rest reads ``TaggedMesh.edge_table``), every config key the
+mesh edges (the rest reads ``TaggedMesh.edge_table``), ``cli.py`` builds no
+mesh and runs no solve, eigensolve or quantity, every config key the
 loader accepts is documented in ``README.md``, the README example
 config loads, and ``import conetorsion`` leaves the scipy packages below
 unloaded.
@@ -37,6 +38,7 @@ TRACER = ROOT / "bench" / "tracer.py"
 WORKLOADS = ROOT / "bench" / "workloads.py"
 README = ROOT / "README.md"
 INIT = ROOT / "src" / "conetorsion" / "__init__.py"
+CLI = ROOT / "src" / "conetorsion" / "cli.py"
 
 
 def _conetorsion_imports(path):
@@ -173,6 +175,38 @@ def test_only_the_mesher_numbers_edges():
             elif isinstance(node, (ast.Import, ast.ImportFrom)):
                 read.update(alias.name for alias in node.names)
         assert not read & numbering, f"{path.name} reads {sorted(read & numbering)}"
+
+
+def test_the_cli_only_formats():
+    """cli.py imports none of the mesh and boundary builders and calls no
+    solve, assembly, eigensolve or ``quantities`` function; ``stability``
+    runs them.  ``write_mesh`` and ``fem.write_solution`` (output) stay."""
+    from conetorsion import quantities
+    tree = ast.parse(CLI.read_text())
+    modules, names = {}, {}      # local name -> conetorsion module it binds
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if node.module is None:
+                    modules[alias.asname or alias.name] = alias.name
+                else:
+                    names[alias.asname or alias.name] = (node.module, alias.name)
+    builders = {"refine", "triangulate", "boundary_partition", "normal_span"}
+    assert not builders & {name for _, name in names.values()}
+    called = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        if isinstance(f, ast.Attribute) and getattr(f.value, "id", None) in modules:
+            called.add((modules[f.value.id], f.attr))
+        elif isinstance(f, ast.Name) and f.id in names:
+            called.add(names[f.id])
+    banned = {("fem", "solve"), ("fem", "assemble"),
+              ("poincare", "mu_estimate"), ("poincare", "eta_estimate")}
+    banned |= {("quantities", name) for name, value in vars(quantities).items()
+               if inspect.isfunction(value)}
+    assert sorted(called & banned) == []
 
 
 @pytest.mark.parametrize("section,key", sorted(

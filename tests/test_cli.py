@@ -214,6 +214,28 @@ def test_identity_command(tmp_path, capsys):
     assert all(residuals[i + 1] <= residuals[i] * 1.2 for i in range(2))
 
 
+def test_identity_strict_fails_on_growing_residuals(tmp_path, capsys,
+                                                    monkeypatch):
+    from conetorsion.quantities import IdentityParts
+    from conetorsion.stability import IdentityLevel
+
+    def growing(spec, h_target, levels):
+        for level, residual in enumerate((0.01, 0.02)[:levels]):
+            parts = IdentityParts(1.0, 1.0, 0.0, residual, 1.0)
+            yield IdentityLevel(0.1 / 2**level, parts, 1.0 + 2 * level, 1.0,
+                                level == 1)
+
+    monkeypatch.setattr(cli.stability, "identity_ladder", growing)
+    body = QUARTER.replace("degree = 2", "degree = 2\n    refinements = 2")
+    code = main(["identity", "--config", write_config(tmp_path, body),
+                 "--out", str(tmp_path), "--strict"])
+    assert code == cli.EXIT_ASSERTION
+    assert capsys.readouterr().out == (
+        "identity residuals: 1.000e-02 2.000e-02 (NOT decreasing)\n")
+    lines = (tmp_path / "q_identity.csv").read_text().splitlines()
+    assert [ln.split(",")[-1] for ln in lines[1:]] == ["false", "true"]
+
+
 def test_poincare_command(tmp_path, capsys):
     body = """
         [domain]

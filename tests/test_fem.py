@@ -341,6 +341,16 @@ def test_solve_rejects_a_wrong_factor(quarter_spec, monkeypatch):
         solve(system)
 
 
+def test_solve_rejects_an_asymmetric_matrix(quarter_spec):
+    system = assemble(triangulate(quarter_spec, 0.1), 2)
+    A = system.matrix.copy()
+    rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+    k = np.flatnonzero(rows != A.indices)[0]        # one off-diagonal entry
+    A.data[k] += 1e-6 * abs(A).max()
+    with pytest.raises(FemError, match="assembled matrix is not symmetric"):
+        solve(replace(system, matrix=A))
+
+
 def test_factor_spd_fill_not_above_plain_minimum_degree(disk_spec,
                                                          pert_quarter_spec):
     # the reverse Cuthill-McKee pre-order must not cost fill against minimum

@@ -1,4 +1,5 @@
 import math
+import weakref
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -6,11 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from conetorsion import (DomainError, FourierRadius, make_family,
-                         make_sector_domain, run_sweep, fit_exponent,
-                         fit_exponent_xy, verify_theorems)
+from conetorsion import (DomainError, FourierRadius, fem, make_family,
+                         make_sector_domain, poincare, run_sweep, fit_exponent,
+                         fit_exponent_xy, stability, triangulate,
+                         verify_theorems)
 from conetorsion.poincare import theorem_constant
-from conetorsion.stability import (TheoremVerdict, run_pipeline, sweep_csv_lines,
+from conetorsion.stability import (TheoremVerdict, identity_decreasing,
+                                   identity_ladder, poincare_table,
+                                   run_pipeline, sweep_csv_lines, sweep_fits,
                                    write_sweep_csv)
 
 
@@ -135,6 +139,76 @@ def test_log_profile_fit_recorded(disk_sweep):
     fit = fit_exponent(disk_sweep, "deficit_1", "rho_gap")
     assert math.isfinite(fit.log_profile_coeff)
     assert fit.log_profile_coeff > 0
+
+
+def test_sweep_fits_pairs_and_row_floor(disk_sweep, coarse_sweep):
+    fits = sweep_fits(disk_sweep)
+    assert [(f.x_column, f.y_column) for f in fits] == [
+        ("deficit_2", "pseudodistance"), ("deficit_1", "rho_gap")]
+    assert fits[0] == fit_exponent(disk_sweep, "deficit_2", "pseudodistance")
+    assert sweep_fits(coarse_sweep[1]) == []     # 2 perturbed rows
+
+
+# ---------------------------------------------------------------------------
+# refinement ladders
+# ---------------------------------------------------------------------------
+
+def test_identity_decreasing_allows_growth_up_to_the_factor():
+    assert identity_decreasing([1.0, 1.2])
+    assert not identity_decreasing([1.0, 1.21])
+    assert identity_decreasing([0.5]) and identity_decreasing([])
+
+
+@pytest.mark.parametrize("grads,hessians,flags", [
+    ((1.0, 2.0, 4.01), (1.0, 1.0, 1.0), [False, False, True]),
+    ((1.0, 1.0, 1.0), (1.0, 3.0, 3.0), [False, True, False]),
+], ids=["max_grad", "hessian_l2"])
+def test_identity_ladder_flags_a_doubling(quarter_spec, monkeypatch, grads,
+                                          hessians, flags):
+    grads, hessians = iter(grads), iter(hessians)
+    monkeypatch.setattr(stability, "max_gradient", lambda u: next(grads))
+    monkeypatch.setattr(poincare, "weighted_hessian_l2",
+                        lambda u, alpha, part: next(hessians))
+    rows = list(identity_ladder(quarter_spec, 0.3, 3))
+    assert [row.blowup for row in rows] == flags
+
+
+def test_identity_ladder_holds_one_level(pert_quarter_spec, monkeypatch):
+    """Every field the ladder solved is freed before the next assembly."""
+    fields, solve, assemble = [], fem.solve, fem.assemble
+
+    def tracked_solve(system):
+        u = solve(system)
+        fields.append(weakref.ref(u))
+        return u
+
+    def checked_assemble(mesh):
+        assert [ref() for ref in fields] == [None] * len(fields)
+        return assemble(mesh)
+
+    monkeypatch.setattr(fem, "solve", tracked_solve)
+    monkeypatch.setattr(fem, "assemble", checked_assemble)
+    rows = list(identity_ladder(pert_quarter_spec, 0.15, 3))
+    assert len(rows) == len(fields) == 3
+    assert [ref() for ref in fields] == [None] * 3
+
+
+def test_poincare_table_order_and_weights(quarter_spec):
+    from conetorsion import boundary_partition, normal_span
+    table = list(poincare_table(quarter_spec, 0.2, ("mu", "eta"), (0.0, 1.0), 1))
+    assert [(e.kind, e.alpha) for e in table] == [
+        ("mu", 0.0), ("mu", 1.0), ("eta", 0.0), ("eta", 1.0)]
+    part = boundary_partition(quarter_spec)
+    mesh = triangulate(quarter_spec, 0.2)
+    a, b, _ = part.all_segments()
+    assert table[1] == poincare.mu_estimate(mesh, 1.0, boundary=(a, b))
+    assert table[3] == poincare.eta_estimate(mesh, part, normal_span(part), 1.0)
+
+
+def test_poincare_table_rejects_eta_before_meshing(disk_spec, monkeypatch):
+    monkeypatch.setattr(stability, "triangulate", None)   # any mesh call fails
+    with pytest.raises(DomainError, match="eta needs a domain with GAMMA1"):
+        next(poincare_table(disk_spec, 0.2, ("mu", "eta"), (0.0,), 1))
 
 
 # ---------------------------------------------------------------------------
