@@ -3,8 +3,8 @@
 Commands: solve, identity, poincare, sweep, rigidity (solve on a
 constant-radius spec with a pass/fail summary).  Configs are flat INI-style
 files; unknown sections or keys are rejected.  Exit codes: 0 success,
-1 validation error, 2 numerical failure, 3 theorem/assertion failure under
---strict.
+1 validation error, 2 numerical failure, 3 theorem/assertion failure (a
+failed rigidity summary always, identity and sweep verdicts under --strict).
 """
 
 from __future__ import annotations

@@ -443,15 +443,16 @@ def _pcg(A, b: np.ndarray, x: np.ndarray, precondition, stop: float, steps: list
         del z, q                     # not held through the next cycle
 
 
-def solve(system: LinearSystem, curved_correction: bool = True) -> FemField:
-    """Sparse solve; optional curved-boundary midpoint correction.
+def solve(system: LinearSystem) -> FemField:
+    """Sparse solve with the curved-boundary midpoint correction.
 
     CG with ``_preconditioner`` to ||r|| <= _CG_RTOL ||b_free|| when the reduced
     system is large and the mesh shape-regular (_CG_MIN_*), else ``factor_spd``.
-    The correction applies to degree-2 systems on meshes that carry an
-    analytic boundary: the Dirichlet value at each GAMMA0 edge midpoint m is
-    set to -<grad u, p - m> with p the radial projection of m onto the graph,
-    using the gradient of the uncorrected solve (one extra solve, warm-started).
+    The correction applies to every degree-2 system whose mesh carries its
+    spec (a copy with ``spec=None`` gives the uncorrected field): the
+    Dirichlet value at each GAMMA0 edge midpoint m is set to -<grad u, p - m>
+    with p the radial projection of m onto the graph, using the gradient of
+    the uncorrected solve (one extra solve, warm-started).
     """
     A, b = system.matrix, system.load
     n = A.shape[0]
@@ -486,7 +487,7 @@ def solve(system: LinearSystem, curved_correction: bool = True) -> FemField:
 
     u = solve_with(np.zeros(len(fixed)), np.zeros(len(free)))
     mesh, dofmap = system.mesh, system.dofmap
-    if curved_correction and dofmap.degree == 2 and mesh.spec is not None:
+    if dofmap.degree == 2 and mesh.spec is not None:
         rows = np.flatnonzero(mesh.boundary_tags == GAMMA0)
         edges = mesh.edge_table()
         dofs = dofmap.n_vertices + edges.boundary[rows]

@@ -15,6 +15,8 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 _FULL_PLANE_TOL = 1e-12
+_SPAN_TOL = 1e-10         # relative singular-value cut of the GAMMA1 normals
+_SPHERE_SAMPLES = 256     # GAMMA0 samples of interior_sphere_radius
 
 
 class DomainError(ValueError):
@@ -26,20 +28,8 @@ class DomainError(ValueError):
 # ---------------------------------------------------------------------------
 
 class RadiusFunction:
-    """Positive radius profile r(t) of the radial graph, with derivatives."""
-
-    def __call__(self, t):
-        raise NotImplementedError
-
-    def deriv(self, t):
-        t = np.asarray(t, dtype=float)
-        h = 1e-6
-        return (self(t + h) - self(t - h)) / (2 * h)
-
-    def deriv2(self, t):
-        t = np.asarray(t, dtype=float)
-        h = 1e-5
-        return (self(t + h) - 2 * self(t) + self(t - h)) / h**2
+    """Positive radius profile r(t) of the radial graph: a subclass gives r,
+    r' and r'' in closed form as ``__call__``, ``deriv`` and ``deriv2``."""
 
 
 class FourierRadius(RadiusFunction):
@@ -128,22 +118,27 @@ class ScaledRadius(RadiusFunction):
                 + self.base(t) * d2f)
 
 
-class CallableRadius(RadiusFunction):
-    def __init__(self, fn, dfn=None, d2fn=None):
-        self._fn, self._dfn, self._d2fn = fn, dfn, d2fn
+class _OffsetDiskRadius(RadiusFunction):
+    """r(t) = a cos t + s, s = sqrt(1 - a^2 sin^2 t): the unit circle
+    centered at (a, 0) as a radial graph."""
+
+    def __init__(self, a: float):
+        self.a = a
+
+    def _s(self, t):
+        return np.sqrt(1.0 - (self.a * np.sin(t)) ** 2)
 
     def __call__(self, t):
-        return np.asarray(self._fn(np.asarray(t, dtype=float)), dtype=float)
+        return self.a * np.cos(t) + self._s(t)
 
     def deriv(self, t):
-        if self._dfn is None:
-            return super().deriv(t)
-        return np.asarray(self._dfn(np.asarray(t, dtype=float)), dtype=float)
+        a = self.a
+        return -a * np.sin(t) - a * a * np.sin(t) * np.cos(t) / self._s(t)
 
     def deriv2(self, t):
-        if self._d2fn is None:
-            return super().deriv2(t)
-        return np.asarray(self._d2fn(np.asarray(t, dtype=float)), dtype=float)
+        a, s = self.a, self._s(t)
+        return (-a * np.cos(t) - a**2 * np.cos(2 * t) / s
+                - a**4 * (np.sin(t) * np.cos(t)) ** 2 / s**3)
 
 
 def offset_disk_radius(a: float) -> RadiusFunction:
@@ -155,16 +150,7 @@ def offset_disk_radius(a: float) -> RadiusFunction:
     a = float(a)
     if not abs(a) < 1.0:
         raise DomainError("offset disk requires |a| < 1 so the origin is interior")
-
-    def r(t):
-        s = np.sqrt(1.0 - (a * np.sin(t)) ** 2)
-        return a * np.cos(t) + s
-
-    def dr(t):
-        s = np.sqrt(1.0 - (a * np.sin(t)) ** 2)
-        return -a * np.sin(t) - a * a * np.sin(t) * np.cos(t) / s
-
-    return CallableRadius(r, dr)
+    return _OffsetDiskRadius(a)
 
 
 def _number(word: str) -> float:
@@ -328,13 +314,13 @@ class SpanInfo:
 def make_sector_domain(beta: float, radius_fn, samples: int = 256) -> DomainSpec:
     """Validated sector domain: positive star-shaped radial graph over the cone.
 
-    ``radius_fn`` may be a RadiusFunction or any callable of the angle.
-    Raises DomainError for beta outside (0, 2*pi], non-positive radius, or a
-    full-plane graph that does not close up.
+    Raises DomainError for beta outside (0, 2*pi], a ``radius_fn`` that is
+    not a RadiusFunction, non-positive radius, or a full-plane graph that
+    does not close up.
     """
     cone = Cone2D(float(beta))
     if not isinstance(radius_fn, RadiusFunction):
-        radius_fn = CallableRadius(radius_fn)
+        raise DomainError(f"radius_fn must be a RadiusFunction, not {radius_fn!r}")
     samples = int(samples)
     if samples < 8:
         raise DomainError("need at least 8 boundary samples")
@@ -373,13 +359,13 @@ def boundary_partition(spec: DomainSpec) -> BoundaryPartition:
     return BoundaryPartition(gamma0, g1_segs, g1_norms)
 
 
-def normal_span(partition: BoundaryPartition, tol: float = 1e-10) -> SpanInfo:
+def normal_span(partition: BoundaryPartition) -> SpanInfo:
     """Rank and orthonormal basis of span{nu(x) : x in GAMMA1}."""
     normals = partition.gamma1_normals
     if len(normals) == 0:
         return SpanInfo(0, np.zeros((0, 2)), np.eye(2))
     _, s, vt = np.linalg.svd(np.asarray(normals, dtype=float))
-    k = int(np.sum(s > tol * s[0]))
+    k = int(np.sum(s > _SPAN_TOL * s[0]))
     rotation = vt.copy()
     if np.linalg.det(rotation) < 0:
         rotation[-1] = -rotation[-1]
@@ -598,7 +584,7 @@ def _inside_closure(spec: DomainSpec, pts, tol: float) -> np.ndarray:
     return ok_r & in_cone
 
 
-def interior_sphere_radius(spec: DomainSpec, samples: int = 256) -> InteriorSphere:
+def interior_sphere_radius(spec: DomainSpec) -> InteriorSphere:
     """Largest rho such that balls tangent at GAMMA0 from inside stay legal.
 
     Per sampled boundary point the ball center must lie in the closed domain
@@ -612,7 +598,7 @@ def interior_sphere_radius(spec: DomainSpec, samples: int = 256) -> InteriorSphe
     """
     part = boundary_partition(spec)
     a0, b0 = part.gamma0.segments()
-    ts = spec.gamma0_angles(samples)
+    ts = spec.gamma0_angles(_SPHERE_SAMPLES)
     pts = spec.gamma0_point(ts)
     # outward normal of the graph at the sample angles
     dr = np.asarray(spec.radius_fn.deriv(ts), dtype=float)

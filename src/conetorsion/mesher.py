@@ -412,10 +412,10 @@ def refine(mesh: TaggedMesh) -> TaggedMesh:
     return new_mesh
 
 
-def rectangle_mesh(nx: int, ny: int, width: float = 1.0, height: float = 1.0) -> TaggedMesh:
-    """Structured right-triangle mesh of [0,width]x[0,height]; all edges GAMMA0."""
-    xs = np.linspace(0.0, width, nx + 1)
-    ys = np.linspace(0.0, height, ny + 1)
+def rectangle_mesh(nx: int, ny: int) -> TaggedMesh:
+    """Structured right-triangle mesh of the unit square; all edges GAMMA0."""
+    xs = np.linspace(0.0, 1.0, nx + 1)
+    ys = np.linspace(0.0, 1.0, ny + 1)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     V = np.stack([X.ravel(), Y.ravel()], axis=1)
 

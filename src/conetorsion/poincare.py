@@ -22,12 +22,13 @@ import scipy.sparse.linalg as spla
 
 from .fem import (FemField, bary_gradients, build_dofmap, element_stiffness,
                   factor_spd, scatter, shape_values)
-from .geometry import BoundaryPartition, SpanInfo
+from .geometry import BoundaryPartition, DomainError, SpanInfo
 from .mesher import GAMMA1, TaggedMesh, refine
 from .quadrature import TRI_POINTS, TRI_WEIGHTS
 
 
 ALPHAS = (0.0, 0.5, 1.0)      # the implemented weight exponents
+_EIG_COUNT, _EIG_SHIFT = 2, -0.1   # k and sigma of _smallest_eigs
 
 
 class EigenError(RuntimeError):
@@ -85,8 +86,9 @@ def _p1_matrices(mesh: TaggedMesh, alpha: float, seg_a, seg_b):
     return A, M
 
 
-def _smallest_eigs(A, M, k: int = 2, sigma: float = -0.1) -> np.ndarray:
-    """The k eigenvalues of (A, M) nearest sigma, ascending, by shift-invert.
+def _smallest_eigs(A, M) -> np.ndarray:
+    """The k = _EIG_COUNT eigenvalues of (A, M) nearest sigma = _EIG_SHIFT,
+    ascending, by shift-invert.
 
     A is positive semidefinite, so for sigma < 0 the k nearest are the k
     smallest and ``A - sigma M`` is SPD: one ``factor_spd`` serves every
@@ -95,7 +97,7 @@ def _smallest_eigs(A, M, k: int = 2, sigma: float = -0.1) -> np.ndarray:
     positive, the next one.
     """
     n = A.shape[0]
-    k = min(k, n - 1)
+    k, sigma = min(_EIG_COUNT, n - 1), _EIG_SHIFT
     v0 = 1.0 + 0.25 * np.cos(0.7 * np.arange(n))   # deterministic start
     try:
         OPinv = spla.LinearOperator((n, n), matvec=factor_spd(A - sigma * M).solve,
@@ -173,8 +175,6 @@ def _constraint_basis(mesh: TaggedMesh, span: SpanInfo,
                       drop_constraint: bool) -> sp.csr_matrix:
     """Sparse basis Z of the admissible P1 vector subspace (dof = 2*node+comp)."""
     n = mesh.n_vertices
-    if span.k == 0:
-        raise ValueError("eta needs a nonempty GAMMA1 (k >= 1); use mu_estimate")
     S = span.basis.T                      # (2, k) columns span the value space
     node_normals = {} if drop_constraint else _gamma1_node_normals(mesh)
     # the columns of a node are S @ D, D a null-space basis of its normal
@@ -204,7 +204,10 @@ def eta_estimate(mesh: TaggedMesh, partition: BoundaryPartition, span: SpanInfo,
 
     ``drop_constraint`` removes the <v, nu> = 0 nodal conditions (ablation:
     constants become admissible and the smallest eigenvalue collapses to 0).
+    A domain without GAMMA1 (k = 0) is rejected before any assembly.
     """
+    if span.k == 0:
+        raise DomainError("eta needs a domain with GAMMA1 (k >= 1)")
     seg_a0, seg_b0 = partition.gamma0.segments()
 
     def constant(current: TaggedMesh) -> float:
@@ -229,23 +232,20 @@ def eta_estimate(mesh: TaggedMesh, partition: BoundaryPartition, span: SpanInfo,
 # constants assembly
 # ---------------------------------------------------------------------------
 
-def _value(est) -> float:
-    return est.value if isinstance(est, PoincareEstimate) else float(est)
-
-
-def lambda_constant(k: int, mu=None, eta=None) -> float:
+def lambda_constant(k: int, mu: PoincareEstimate | None = None,
+                    eta: PoincareEstimate | None = None) -> float:
     """Combine mu/eta into the k-dependent constant of the stability bound (N = 2)."""
     if k == 0:
         if mu is None:
             raise ValueError("k = 0 needs mu")
-        return 1.0 / _value(mu)
+        return 1.0 / mu.value
     if k == 2:
         if eta is None:
             raise ValueError("k = N = 2 needs eta")
-        return 1.0 / _value(eta)
+        return 1.0 / eta.value
     if mu is None or eta is None:
         raise ValueError("k = 1 needs both mu and eta")
-    return max(1.0 / _value(mu), 1.0 / _value(eta))
+    return max(1.0 / mu.value, 1.0 / eta.value)
 
 
 def theorem_constant(m: float, lam: float) -> float:

@@ -27,6 +27,8 @@ CSV_COLUMNS = ("domain_id", "h_max", "degree", "R", "m", "z_x", "z_y",
                "identity_lhs", "identity_rhs", "gamma1_term",
                "identity_residual", "C_bound", "C_bound_satisfied")
 _LABEL_COLUMNS = ("domain_id", "degree", "C_bound_satisfied")   # not numeric
+_CENTER_TOL = 1e-10   # relative tolerance of <z, nu> = 0 on GAMMA1
+_BOUND_TOL = 5e-3     # slack of each DistanceBoundReport margin
 
 
 class CenterError(ValueError):
@@ -150,11 +152,11 @@ def alternative_center(u: FemField) -> Center:
     return Center(zf, 0, zf)
 
 
-def check_center_constraint(mesh: TaggedMesh, z: np.ndarray, tol: float = 1e-10) -> None:
+def check_center_constraint(mesh: TaggedMesh, z: np.ndarray) -> None:
     """The identity needs <z, nu> = 0 for every GAMMA1 normal."""
     normals = mesh.boundary_normals()[mesh.boundary_tags == GAMMA1]
     viol = float(np.max(np.abs(normals @ z), initial=0.0))
-    if viol > tol * (1.0 + float(np.linalg.norm(z))):
+    if viol > _CENTER_TOL * (1.0 + float(np.linalg.norm(z))):
         raise CenterError(
             f"center violates the cone-boundary constraint: |<z,nu>| = {viol:g}")
 
@@ -180,7 +182,7 @@ class IdentityParts:
     lhs_exact_trace: float   # variant with Delta u frozen to N
 
 
-def identity_residual(u: FemField, center: Center | np.ndarray) -> IdentityParts:
+def identity_residual(u: FemField, center: Center) -> IdentityParts:
     """Both sides of the volume identity and their scaled gap.
 
     lhs = int (-u) (|D^2 u|^2 - (tr D^2 u)^2/N) + int_G1 u <D^2u Du, nu>;
@@ -190,7 +192,7 @@ def identity_residual(u: FemField, center: Center | np.ndarray) -> IdentityParts
     is recorded alongside.  The residual is |lhs-rhs| scaled by
     max(|lhs|, |rhs|, R^2 |G0| h^2).
     """
-    z = center.z if isinstance(center, Center) else np.asarray(center, dtype=float)
+    z = center.z
     mesh = u.mesh
     check_center_constraint(mesh, z)
 
@@ -238,7 +240,7 @@ class DeficitReport:
     deficit_1: float
     deficit_2: float
     pseudodistance: float
-    pseudodistance_free: float   # at Center.z_free; NaN for a bare-array center
+    pseudodistance_free: float   # at Center.z_free, before the GAMMA1 projection
     rho_gap: float
     identity_lhs: float
     identity_rhs: float
@@ -278,18 +280,16 @@ class DeficitReport:
         raise KeyError(name)
 
 
-def deficits(u: FemField, center: Center | np.ndarray, *,
+def deficits(u: FemField, center: Center, *,
              lambda_21: float | None = None, domain_id: str = "") -> DeficitReport:
     """Fill every deficit functional of one solve by GAMMA0 quadrature.
 
     ``lambda_21`` is the Poincare combination Lambda_{2,1}(k); when given and
     the flux lower bound m is positive, the stability constant
-    (2 N Lambda^2 + 3) / (2 m) and its row check are recorded.  For a
-    ``Center``, the pseudodistance at its free center is recorded as well.
+    (2 N Lambda^2 + 3) / (2 m) and its row check are recorded.  The
+    pseudodistance at the center's free point ``z_free`` is recorded as well.
     """
-    z = center.z if isinstance(center, Center) else np.asarray(center, dtype=float)
-    k = center.k if isinstance(center, Center) else 0
-    z_free = center.z_free if isinstance(center, Center) else None
+    z = center.z
     mesh = u.mesh
     flux = normal_derivative(u, 3)
     tr0, unu, w = flux.trace, flux.values, flux.weights
@@ -304,7 +304,7 @@ def deficits(u: FemField, center: Center | np.ndarray, *,
         return float(np.sqrt(np.sum(w * (dist - R) ** 2)))
 
     pseudo = pseudodistance(z)
-    pseudo_free = float("nan") if z_free is None else pseudodistance(z_free)
+    pseudo_free = pseudodistance(center.z_free)
 
     edges = mesh.boundary_edges[tr0.edge_rows]
     seg_min, seg_max = segment_extremes(mesh.vertices[edges[:, 0]],
@@ -313,7 +313,7 @@ def deficits(u: FemField, center: Center | np.ndarray, *,
 
     # the identity is only meaningful for constraint-respecting centers
     try:
-        ident = identity_residual(u, z)
+        ident = identity_residual(u, center)
     except CenterError:
         ident = IdentityParts(*[float("nan")] * 5)
 
@@ -325,11 +325,11 @@ def deficits(u: FemField, center: Center | np.ndarray, *,
 
     return DeficitReport(
         domain_id=domain_id, h_max=mesh.h_max, degree=u.degree, R=R, m=m,
-        z=np.asarray(z, dtype=float), deficit_1=deficit_1, deficit_2=deficit_2,
+        z=z, deficit_1=deficit_1, deficit_2=deficit_2,
         pseudodistance=pseudo, pseudodistance_free=pseudo_free, rho_gap=rho_gap,
         identity_lhs=ident.lhs, identity_rhs=ident.rhs,
         gamma1_term=ident.gamma1_term, identity_residual=ident.residual,
-        C_bound=c_bound, C_bound_satisfied=satisfied, k=k,
+        C_bound=c_bound, C_bound_satisfied=satisfied, k=center.k,
     )
 
 
@@ -366,12 +366,12 @@ class DistanceBoundReport:
                 and self.margin_gamma0_linear >= -self.tolerance)
 
 
-def u_distance_bounds(u: FemField, spec: DomainSpec, r_i: float,
-                      tolerance: float = 5e-3) -> DistanceBoundReport:
+def u_distance_bounds(u: FemField, spec: DomainSpec, r_i: float) -> DistanceBoundReport:
     """Check -u against the squared/linear distance lower bounds pointwise.
 
     Evaluated at every interior quadrature point; distances are exact
     point-to-polyline distances against the analytic boundary partition.
+    The report is ``ok`` when no margin falls below -_BOUND_TOL.
     """
     part = boundary_partition(spec)
     a_all, b_all, _ = part.all_segments()
@@ -381,4 +381,4 @@ def u_distance_bounds(u: FemField, spec: DomainSpec, r_i: float,
     depth = -u.values(np.arange(mesh.n_triangles), TRI_POINTS[:, None])
     return DistanceBoundReport(float(np.min(depth - 0.5 * dist_b**2)),
                                float(np.min(depth - 0.5 * dist_g**2)),
-                               float(np.min(depth - 0.5 * r_i * dist_g)), tolerance)
+                               float(np.min(depth - 0.5 * r_i * dist_g)), _BOUND_TOL)

@@ -38,8 +38,7 @@ class SweepError(RuntimeError):
 
 @dataclass(frozen=True)
 class Family:
-    eps_list: tuple
-    members: tuple   # ((eps, DomainSpec), ...) including eps = 0
+    members: tuple   # ((eps, DomainSpec), ...), eps ascending from eps = 0
 
 
 def make_family(base: DomainSpec, mode: int, eps_list) -> Family:
@@ -54,7 +53,7 @@ def make_family(base: DomainSpec, mode: int, eps_list) -> Family:
         fn = ScaledRadius(base.radius_fn, mode, eps)
         spec = make_sector_domain(base.beta, fn, base.sample_count)
         members.append((eps, spec))
-    return Family(eps_sorted, tuple(members))
+    return Family(tuple(members))
 
 
 # ---------------------------------------------------------------------------

@@ -29,12 +29,12 @@ class SolveBundle:
     report: object
 
 
-def solve_domain(spec, h_target, degree=2, curved_correction=True):
+def solve_domain(spec, h_target, degree=2):
     part = boundary_partition(spec)
     span = normal_span(part)
     mesh = triangulate(spec, h_target)
     system = fem.assemble(mesh, degree)
-    field = fem.solve(system, curved_correction=curved_correction)
+    field = fem.solve(system)
     center = qty.compute_center(field, span)
     report = qty.deficits(field, center, domain_id=f"fixture-h{h_target:g}")
     return SolveBundle(spec, part, span, mesh, system, field, center, report)

@@ -13,8 +13,8 @@ from scipy.integrate import quad
 from conetorsion import fem
 from conetorsion.fem import (FemField, bary_gradients, build_dofmap,
                              shape_bary_grads, shape_values)
-from conetorsion.geometry import (TWO_PI, CallableRadius, DomainError, DomainSpec,
-                                  InteriorSphere, _inside_closure,
+from conetorsion.geometry import (TWO_PI, DomainError, DomainSpec,
+                                  InteriorSphere, RadiusFunction, _inside_closure,
                                   boundary_partition, polyline_distance)
 from conetorsion.mesher import GAMMA0
 from conetorsion.quadrature import TRI_POINTS, TRI_WEIGHTS
@@ -148,16 +148,31 @@ def gamma0_length(spec: DomainSpec) -> float:
     return val
 
 
+class _RotatedRadius(RadiusFunction):
+    """t -> base(t - phi) with its derivatives."""
+
+    def __init__(self, base: RadiusFunction, phi: float):
+        self.base, self.phi = base, phi
+
+    def _shift(self, t):
+        return np.mod(np.asarray(t, dtype=float) - self.phi, TWO_PI)
+
+    def __call__(self, t):
+        return self.base(self._shift(t))
+
+    def deriv(self, t):
+        return self.base.deriv(self._shift(t))
+
+    def deriv2(self, t):
+        return self.base.deriv2(self._shift(t))
+
+
 def rotated_mesh(mesh, phi: float):
     """The mesh and its full-plane spec turned by phi about the origin."""
     spec = mesh.spec
     if not spec.cone.is_full_plane:
         raise DomainError("rigid rotation is only representable for beta = 2*pi")
-    def shifted(fn):
-        return lambda t: fn(np.mod(t - phi, TWO_PI))
-
-    base = spec.radius_fn
-    fn = CallableRadius(shifted(base), shifted(base.deriv), shifted(base.deriv2))
+    fn = _RotatedRadius(spec.radius_fn, phi)
     c, s = math.cos(phi), math.sin(phi)
     R = np.array([[c, -s], [s, c]])
     return replace(mesh, vertices=mesh.vertices @ R.T,

@@ -9,7 +9,8 @@ signature it calls, every ``bench/tracer.py`` span names a function whose
 signature has the arguments its counter reads, every sweep column
 ``bench/workloads.py`` reports is one that ``SweepRow.column`` answers,
 every name ``conetorsion/__init__.py`` imports is read somewhere in the
-library, the demos or the benchmark (tests aside), only ``mesher.py`` numbers
+library, the demos or the benchmark (tests aside), and so is every parameter
+with a default passed by some call there, only ``mesher.py`` numbers
 mesh edges (the rest reads ``TaggedMesh.edge_table``), ``cli.py`` builds no
 mesh and runs no solve, eigensolve or quantity, every config key the
 loader accepts is documented in ``README.md``, the README example
@@ -157,6 +158,58 @@ def test_every_export_has_a_caller_outside_tests():
     exported = [alias.asname or alias.name for node in ast.parse(INIT.read_text()).body
                 if isinstance(node, ast.ImportFrom) for alias in node.names]
     assert [name for name in exported if name not in read] == []
+
+
+def _defaulted_parameters(path):
+    """(called name, parameter, position or None) of each parameter with a
+    default in the module-level functions and class methods of ``path``.
+    A class is called by its own name for its ``__init__``; a method's
+    positions skip ``self``; a keyword-only parameter has no position."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.FunctionDef):
+            members = [(node.name, node, False)]
+        elif isinstance(node, ast.ClassDef):
+            members = [(node.name if fn.name == "__init__" else fn.name, fn,
+                        not any(getattr(d, "id", None) == "staticmethod"
+                                for d in fn.decorator_list))
+                       for fn in node.body if isinstance(fn, ast.FunctionDef)]
+        else:
+            continue
+        for name, fn, method in members:
+            positional = (fn.args.posonlyargs + fn.args.args)[int(method):]
+            first = len(positional) - len(fn.args.defaults)
+            for i, arg in enumerate(positional[first:], first):
+                yield name, arg.arg, i
+            for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+                if default is not None:
+                    yield name, arg.arg, None
+
+
+def test_every_default_has_a_caller():
+    """Every parameter with a default, in every function and method of
+    ``src/conetorsion``, is passed by keyword or by position by some call in
+    src/, demos/ or bench/ (test files aside); a call is matched by the name
+    it calls, and only its positions before any ``*args`` count.
+    ``cli.main(argv)`` is exempt: the console entry point, it reads
+    ``sys.argv`` when ``argv`` is None."""
+    library = sorted((ROOT / "src" / "conetorsion").glob("*.py"))
+    callers = library + DEMOS + [p for p in (ROOT / "bench").glob("*.py")
+                                 if not p.name.startswith("test_")]
+    passed = {}             # called name -> {(positions passed, keywords)}
+    for path in callers:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                n_positional = next((i for i, a in enumerate(node.args)
+                                     if isinstance(a, ast.Starred)), len(node.args))
+                passed.setdefault(name, set()).add(
+                    (n_positional, frozenset(k.arg for k in node.keywords)))
+    unset = [f"{path.name}:{name}({param})" for path in library
+             for name, param, position in _defaulted_parameters(path)
+             if not any(param in keywords
+                        or (position is not None and position < n_positional)
+                        for n_positional, keywords in passed.get(name, ()))]
+    assert [u for u in unset if u != "cli.py:main(argv)"] == []
 
 
 def test_only_the_mesher_numbers_edges():

@@ -126,6 +126,28 @@ def test_rigidity_passes_on_ball_sector(tmp_path, capsys):
     assert "rigidity summary: PASS" in capsys.readouterr().out
 
 
+def test_rigidity_fails_on_a_large_deficit(tmp_path, capsys, monkeypatch):
+    # a real solve whose deficit_2 is then set far above the tolerance
+    # max(5e-3, 2 h_max^2); the summary fails and exits 3 without --strict
+    from conetorsion import stability
+    run_pipeline = stability.run_pipeline
+
+    def large_deficit(*args, **kwargs):
+        res = run_pipeline(*args, **kwargs)
+        res.report.deficit_2 = 1.0
+        return res
+
+    monkeypatch.setattr(stability, "run_pipeline", large_deficit)
+    code = main(["rigidity", "--config", write_config(tmp_path, QUARTER),
+                 "--out", str(tmp_path)])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == cli.EXIT_ASSERTION
+    checks = [line.split()[1:] for line in lines if line.startswith("  rigidity ")]
+    assert [(c[0], c[-1]) for c in checks] == [
+        ("deficit_2", "FAIL"), ("pseudodistance", "pass"), ("rho_gap", "pass")]
+    assert lines[-1] == "rigidity summary: FAIL"
+
+
 def test_mesh_target_too_large_is_numerical_error(tmp_path, capsys):
     body = QUARTER.replace("h_target = 0.1", "h_target = 5.0")
     code = main(["solve", "--config", write_config(tmp_path, body),

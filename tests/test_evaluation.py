@@ -232,8 +232,10 @@ def _identity_oracle(u, z, R=None):
 @pytest.fixture(scope="module")
 def meshes(disk_spec, quarter_spec):
     """A disk, a quarter cone, a refined quarter cone and a rectangle."""
+    unit = rectangle_mesh(7, 5)
+    rectangle = replace(unit, vertices=unit.vertices * [1.4, 1.0])  # [0, 1.4] x [0, 1]
     return [triangulate(disk_spec, 0.1), triangulate(quarter_spec, 0.08),
-            refine(triangulate(quarter_spec, 0.15)), rectangle_mesh(7, 5, 1.4, 1.0)]
+            refine(triangulate(quarter_spec, 0.15)), rectangle]
 
 
 @pytest.fixture(scope="module")

@@ -112,7 +112,8 @@ def test_correction_off_reverts_to_second_order(quarter_spec):
     errs, hs = [], []
     for h in (0.1, 0.05, 0.025):
         mesh = triangulate(quarter_spec, h)
-        u = solve(assemble(mesh, 2), curved_correction=False)
+        # a spec-less copy: solve applies no curved-boundary correction
+        u = solve(assemble(replace(mesh, spec=None), 2))
         errs.append(l2_error(u, EXACT))
         hs.append(mesh.h_max)
     assert abs(fitted_order(hs, errs) - 2.0) <= 0.25
@@ -137,7 +138,7 @@ def test_energy_monotone_under_refinement(quarter_spec):
     mesh = triangulate(quarter_spec, 0.2)
     energies = []
     for _ in range(3):
-        u = solve(assemble(mesh, 2), curved_correction=False)
+        u = solve(assemble(replace(mesh, spec=None), 2))     # uncorrected
         energies.append(energy(u))
         mesh = refine(mesh)
     assert energies[0] <= energies[1] + 1e-8
@@ -548,8 +549,8 @@ def test_small_or_poorly_shaped_systems_keep_the_direct_path(quarter_spec,
     for mesh, min_dofs in ((small, fem._CG_MIN_DOFS), (near, fem._CG_MIN_DOFS),
                            (poor, 0)):
         monkeypatch.setattr(fem, "_CG_MIN_DOFS", min_dofs)
-        system = assemble(mesh, 2)
-        u = solve(system, curved_correction=False)
+        system = assemble(replace(mesh, spec=None), 2)
+        u = solve(system)
         A, b = _reduced(system)
         free = np.setdiff1d(np.arange(system.matrix.shape[0]), system.dirichlet)
         assert u.diagnostics["solver"] == "direct"

@@ -45,7 +45,26 @@ def test_make_sector_domain_rejects_nonpositive_radius():
 def test_full_plane_graph_must_close():
     # r(0) != r(2 pi) leaves the radial graph open (a loop mismatch)
     with pytest.raises(DomainError):
-        make_sector_domain(2 * math.pi, lambda t: 1.0 + 0.1 * t)
+        make_sector_domain(2 * math.pi, TableRadius([0.0, math.pi, 2 * math.pi],
+                                                    [1.0, 1.1, 1.2]))
+
+
+def test_make_sector_domain_rejects_a_bare_callable():
+    with pytest.raises(DomainError, match="RadiusFunction"):
+        make_sector_domain(math.pi / 2, lambda t: 1.0 + 0.0 * t)
+
+
+@pytest.mark.parametrize("a", [-0.6, 0.3, 0.9])
+def test_offset_disk_derivatives_are_the_unit_circle(a):
+    # the graph is the unit circle about (a, 0): curvature 1 at every angle,
+    # and r', r'' agree with centred differences of r
+    spec = make_sector_domain(math.pi, offset_disk_radius(a), 256)
+    t = np.linspace(0.0, math.pi, 41)
+    np.testing.assert_allclose(polar_curvature(spec, t), 1.0, rtol=1e-12)
+    r, h = spec.radius_fn, 1e-4
+    np.testing.assert_allclose(r.deriv(t), (r(t + h) - r(t - h)) / (2 * h), atol=1e-7)
+    np.testing.assert_allclose(r.deriv2(t), (r(t + h) - 2 * r(t) + r(t - h)) / h**2,
+                               atol=1e-5)
 
 
 def test_table_radius_is_scipys_not_a_knot_spline():
@@ -463,7 +482,7 @@ def test_interior_sphere_flags_needle_domains():
     ts = np.linspace(0, math.pi / 2, 41)
     rs = 1.0 - 0.98 * np.exp(-((ts - math.pi / 4) ** 2) / (2 * 0.02**2))
     spec = make_sector_domain(math.pi / 2, TableRadius(ts, rs), 512)
-    res = interior_sphere_radius(spec, samples=128)
+    res = interior_sphere_radius(spec)
     assert not res.ok
     assert res.value == 0.0
 

@@ -303,7 +303,8 @@ def test_mesh_export_roundtrip(tmp_path, quarter_spec):
 
 
 def test_rectangle_mesh_structure():
-    mesh = rectangle_mesh(3, 5, 2.0, 1.0)
+    unit = rectangle_mesh(3, 5)
+    mesh = replace(unit, vertices=unit.vertices * [2.0, 1.0])   # [0, 2] x [0, 1]
     assert mesh.n_vertices == 4 * 6
     assert mesh.n_triangles == 2 * 3 * 5
     assert np.sum(bary_gradients(mesh)[1]) == pytest.approx(2.0, rel=1e-12)

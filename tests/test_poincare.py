@@ -8,9 +8,9 @@ from scipy.special import jnp_zeros
 
 from conetorsion import (ConstantRadius, boundary_partition, make_sector_domain,
                          normal_span, rectangle_mesh, refine, triangulate)
-from conetorsion.poincare import (_boundary_segments, _p1_matrices,
-                                  _smallest_eigs, eta_estimate, lambda_constant,
-                                  mu_estimate, theorem_constant,
+from conetorsion.poincare import (PoincareEstimate, _boundary_segments,
+                                  _p1_matrices, _smallest_eigs, eta_estimate,
+                                  lambda_constant, mu_estimate, theorem_constant,
                                   weighted_hessian_l2)
 from tests.oracles import energy, h_field, rotated_mesh
 
@@ -39,10 +39,10 @@ def test_sparse_matches_dense_eigensolve(disk_spec):
     mesh = triangulate(disk_spec, 0.12)
     seg_a, seg_b = _boundary_segments(mesh)
     A, M = _p1_matrices(mesh, 0.0, seg_a, seg_b)
-    sparse_vals = _smallest_eigs(A, M, k=4)
+    sparse_vals = _smallest_eigs(A, M)
     dense_vals = np.sort(scipy.linalg.eigh(A.toarray(), M.toarray(),
                                            eigvals_only=True))
-    np.testing.assert_allclose(sparse_vals, dense_vals[:4], atol=1e-8)
+    np.testing.assert_allclose(sparse_vals, dense_vals[:2], atol=1e-8)
 
 
 @pytest.mark.parametrize("shape", ["square", "disk"])
@@ -192,12 +192,18 @@ def test_eta_half_disk_k1(half_spec):
     assert est.value == pytest.approx(BESSEL_J1_PRIME_ROOT, rel=0.01)
 
 
-def test_eta_rejects_empty_gamma1(disk_spec):
+def test_eta_rejects_empty_gamma1(disk_spec, monkeypatch):
+    # rejected before any P1 matrix (distance weights included) is built
+    from conetorsion import DomainError, poincare
     part = boundary_partition(disk_spec)
     span = normal_span(part)
     mesh = triangulate(disk_spec, 0.2)
-    with pytest.raises(ValueError):
+    calls = []
+    monkeypatch.setattr(poincare, "_p1_matrices",
+                        lambda *args: calls.append(args) or None)
+    with pytest.raises(DomainError, match=r"GAMMA1 \(k >= 1\)"):
         eta_estimate(mesh, part, span, 0.0)
+    assert calls == []
 
 
 def test_eta_constraint_makes_constant_inadmissible(quarter_spec):
@@ -289,15 +295,17 @@ def test_constraint_basis_matches_the_loop_oracle(quarter_spec, half_spec):
 # ---------------------------------------------------------------------------
 
 def test_lambda_constant_cases():
-    assert lambda_constant(0, mu=2.0) == pytest.approx(0.5)
-    assert lambda_constant(2, eta=1.5) == pytest.approx(2 / 3)
-    assert lambda_constant(1, mu=2.0, eta=4.0) == pytest.approx(0.5)
+    mu = PoincareEstimate("mu", 1.0, [3.0, 2.0])     # the finest level counts
+    eta, eta4 = (PoincareEstimate("eta", 1.0, [v]) for v in (1.5, 4.0))
+    assert lambda_constant(0, mu=mu) == pytest.approx(0.5)
+    assert lambda_constant(2, eta=eta) == pytest.approx(2 / 3)
+    assert lambda_constant(1, mu=mu, eta=eta4) == pytest.approx(0.5)
     with pytest.raises(ValueError):
         lambda_constant(0)
     with pytest.raises(ValueError):
-        lambda_constant(2, mu=2.0)
+        lambda_constant(2, mu=mu)
     with pytest.raises(ValueError):
-        lambda_constant(1, mu=2.0)
+        lambda_constant(1, mu=mu)
 
 
 def test_theorem_constant_values():

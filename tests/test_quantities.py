@@ -6,8 +6,8 @@ import pytest
 from conetorsion import (CenterError, alternative_center, compute_center,
                          deficits, identity_residual, normal_derivative,
                          u_distance_bounds)
-from conetorsion.quantities import (CSV_COLUMNS, DeficitReport, _hessian_terms,
-                                    edge_trace)
+from conetorsion.quantities import (CSV_COLUMNS, Center, DeficitReport,
+                                    _hessian_terms, edge_trace)
 from conetorsion.mesher import GAMMA1
 from tests.conftest import solve_domain
 from tests.oracles import gamma0_grad_norm, h_field, interpolate, rotated_mesh
@@ -183,7 +183,8 @@ def test_gamma1_term_sign_on_convex_cone(pert_quarter_solve, identity_series):
 
 def test_identity_rejects_constraint_violating_center(quarter_solve):
     with pytest.raises(CenterError):
-        identity_residual(quarter_solve.field, np.array([0.2, 0.1]))
+        z = np.array([0.2, 0.1])
+        identity_residual(quarter_solve.field, Center(z, 0, z))
 
 
 def test_identity_exact_trace_variant_recorded(pert_disk_solve):

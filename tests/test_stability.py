@@ -24,8 +24,7 @@ from conetorsion.stability import (TheoremVerdict, identity_decreasing,
 
 def test_make_family_members(disk_spec):
     fam = make_family(disk_spec, 3, [0.04, 0.02, 0.08])
-    assert fam.eps_list == (0.02, 0.04, 0.08)
-    assert len(fam.members) == 4
+    assert [eps for eps, _ in fam.members] == [0.0, 0.02, 0.04, 0.08]
     assert fam.members[0][0] == 0.0 and fam.members[0][1] is disk_spec
     r = fam.members[2][1].radius_fn
     assert float(r(0.0)) == pytest.approx(1.04)
