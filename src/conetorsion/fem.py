@@ -17,6 +17,9 @@ refine midpoint rule (a Galerkin, non-nested coarse level), so the factored
 coarse problem follows the refinement ladder down instead of growing with it.
 Besides the reduced blocks, a solve holds one whole-matrix temporary: the
 transpose for its symmetry check, freed before the blocks are cut.
+
+Global matrices are scattered straight into CSR at their exact size
+(``scatter``), with the values of scipy's COO route bit for bit.
 """
 
 from __future__ import annotations
@@ -176,17 +179,40 @@ def element_stiffness(G: np.ndarray, areas: np.ndarray, degree: int,
     return Ke.reshape(-1, nloc, nloc)
 
 
-def scatter(dofmap: DofMap, Ke: np.ndarray) -> sp.csr_matrix:
-    """Global sparse matrix from element blocks (nt, nloc, nloc).
+def row_order(dofmap: DofMap) -> np.ndarray:
+    """Element block rows, flat index ``e * nloc + i``, stably sorted by their
+    global dof: the order in which a COO -> CSR conversion (a stable counting
+    sort by row) visits the entries of element blocks scattered over
+    ``dofmap``.  One order serves every matrix on the same dof map."""
+    return np.argsort(dofmap.elem_dofs.ravel(), kind="stable")
 
-    The COO indices are int32, the index type scipy stores the result with.
+
+def scatter(dofmap: DofMap, order: np.ndarray, Ke: np.ndarray) -> sp.csr_matrix:
+    """Global CSR matrix from element blocks Ke (nt, nloc, nloc), at its exact size.
+
+    The block rows are gathered in ``order`` (``row_order``): these are the
+    arrays ``coo_matrix(...).tocsr()`` builds before it sums duplicates, each
+    row holding the same entries in the same sequence, and scipy's own
+    ``sum_duplicates`` then sorts and sums them as there, so the result is
+    bit for bit that of the COO route.  No COO index arrays are made, Ke is
+    released after the gather, and the summed arrays are copied to nnz
+    entries where scipy keeps views into the duplicate-length buffers.
+    Indices are int32 while the duplicate count fits, int64 beyond (scipy's
+    rule).
     """
-    dofs = dofmap.elem_dofs.astype(np.int32)
-    nloc = dofs.shape[1]
-    rows = np.repeat(dofs, nloc, axis=1).ravel()
-    cols = np.tile(dofs, (1, nloc)).ravel()
-    return sp.coo_matrix((Ke.ravel(), (rows, cols)),
-                         shape=(dofmap.n_dofs, dofmap.n_dofs)).tocsr()
+    dofs = dofmap.elem_dofs
+    n, nloc = dofmap.n_dofs, dofs.shape[1]
+    idx = np.int32 if max(Ke.size, n) <= np.iinfo(np.int32).max else np.int64
+    data = Ke.reshape(-1, nloc)[order].ravel()
+    del Ke
+    indices = dofs.astype(idx)[order // nloc].ravel()
+    indptr = np.zeros(n + 1, dtype=idx)
+    np.cumsum(np.bincount(dofs.ravel(), minlength=n) * nloc, out=indptr[1:])
+    A = sp.csr_matrix((data, indices, indptr), shape=(n, n))
+    A.sum_duplicates()
+    if A.data.base is not None:       # views into the duplicate-length arrays
+        A.indices, A.data = A.indices.copy(), A.data.copy()
+    return A
 
 
 def assemble(mesh: TaggedMesh, degree: int = 2) -> LinearSystem:
@@ -200,7 +226,7 @@ def assemble(mesh: TaggedMesh, degree: int = 2) -> LinearSystem:
         raise FemError("mesh has no GAMMA0 edges; pure Neumann problem rejected")
     dofmap = build_dofmap(mesh, degree)
     G, areas = bary_gradients(mesh)
-    A = scatter(dofmap, element_stiffness(G, areas, degree))
+    A = scatter(dofmap, row_order(dofmap), element_stiffness(G, areas, degree))
     shape_integrals = TRI_WEIGHTS @ shape_values(degree, TRI_POINTS)   # (nloc,)
     b = np.zeros(dofmap.n_dofs)
     np.add.at(b, dofmap.elem_dofs.ravel(),
@@ -216,6 +242,15 @@ def assemble(mesh: TaggedMesh, degree: int = 2) -> LinearSystem:
 # ---------------------------------------------------------------------------
 # fields
 # ---------------------------------------------------------------------------
+
+def _vertex_gradients(degree: int, c: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """Vertex gradients (ne, 3, 2) of elements with coefficients c (ne, nloc)
+    and barycentric gradients G (ne, 3, 2); each element on its own, so any
+    subset of elements gives the rows of the whole mesh."""
+    dN = shape_bary_grads(degree, np.eye(3))                        # (3, nloc, 3)
+    du = np.einsum("vla,el->eva", dN, c)                            # d u / d lambda_a
+    return np.einsum("eva,eax->evx", du, G)
+
 
 class FemField:
     """Scalar finite-element field on a tagged mesh.
@@ -249,10 +284,8 @@ class FemField:
         give it everywhere on the element (see ``gradients``).
         """
         if self._vertex_gradients is None:
-            dN = shape_bary_grads(self.degree, np.eye(3))           # (3, nloc, 3)
-            c = self.coeffs[self.dofmap.elem_dofs]
-            du = np.einsum("vla,el->eva", dN, c)                    # d u / d lambda_a
-            self._vertex_gradients = np.einsum("eva,eax->evx", du, self._G)
+            self._vertex_gradients = _vertex_gradients(
+                self.degree, self.coeffs[self.dofmap.elem_dofs], self._G)
         return self._vertex_gradients
 
     def gradients(self, elements, lam) -> np.ndarray:
@@ -443,16 +476,40 @@ def _pcg(A, b: np.ndarray, x: np.ndarray, precondition, stop: float, steps: list
         del z, q                     # not held through the next cycle
 
 
+def _midpoint_correction(system: LinearSystem, u: np.ndarray) -> np.ndarray:
+    """Dirichlet values (on ``system.dirichlet``) of the curved-boundary
+    correction from the uncorrected coefficients u: -<grad u, p - m> at each
+    GAMMA0 edge midpoint m, p its projection onto the graph, 0 elsewhere.
+
+    The centroid gradient of the owner element keeps the correction uniformly
+    first order.  Only the owners' gradients are formed, by the expressions of
+    ``FemField.gradients``: each element's rows do not depend on the others,
+    so they are bit for bit those of the whole mesh.
+    """
+    mesh, dofmap, fixed = system.mesh, system.dofmap, system.dirichlet
+    rows = np.flatnonzero(mesh.boundary_tags == GAMMA0)
+    edges = mesh.edge_table()
+    dofs = dofmap.n_vertices + edges.boundary[rows]
+    m = dofmap.node_xy[dofs]
+    p = mesh.spec.project_to_gamma0(m)
+    owners = edges.owners[rows]
+    vg = _vertex_gradients(dofmap.degree, u[dofmap.elem_dofs[owners]],
+                           bary_gradients(mesh)[0][owners])
+    grad = np.einsum("...v,...vx->...x", np.full(3, 1.0 / 3.0), vg)
+    gvals = np.zeros(len(fixed))
+    gvals[np.searchsorted(fixed, dofs)] = -np.einsum("ex,ex->e", grad, p - m)
+    return gvals
+
+
 def solve(system: LinearSystem) -> FemField:
     """Sparse solve with the curved-boundary midpoint correction.
 
     CG with ``_preconditioner`` to ||r|| <= _CG_RTOL ||b_free|| when the reduced
     system is large and the mesh shape-regular (_CG_MIN_*), else ``factor_spd``.
     The correction applies to every degree-2 system whose mesh carries its
-    spec (a copy with ``spec=None`` gives the uncorrected field): the
-    Dirichlet value at each GAMMA0 edge midpoint m is set to -<grad u, p - m>
-    with p the radial projection of m onto the graph, using the gradient of
-    the uncorrected solve (one extra solve, warm-started).
+    spec (a copy with ``spec=None`` gives the uncorrected field): the GAMMA0
+    midpoint values come from ``_midpoint_correction`` of the uncorrected
+    solve (one extra solve, warm-started).
     """
     A, b = system.matrix, system.load
     n = A.shape[0]
@@ -488,17 +545,7 @@ def solve(system: LinearSystem) -> FemField:
     u = solve_with(np.zeros(len(fixed)), np.zeros(len(free)))
     mesh, dofmap = system.mesh, system.dofmap
     if dofmap.degree == 2 and mesh.spec is not None:
-        rows = np.flatnonzero(mesh.boundary_tags == GAMMA0)
-        edges = mesh.edge_table()
-        dofs = dofmap.n_vertices + edges.boundary[rows]
-        m = dofmap.node_xy[dofs]
-        p = mesh.spec.project_to_gamma0(m)
-        # the centroid gradient keeps the correction uniformly first order
-        grad = FemField(mesh, dofmap.degree, u, dofmap).gradients(
-            edges.owners[rows], np.full(3, 1.0 / 3.0))
-        gvals = np.zeros(len(fixed))
-        gvals[np.searchsorted(fixed, dofs)] = -np.einsum("ex,ex->e", grad, p - m)
-        u = solve_with(gvals, u[free])
+        u = solve_with(_midpoint_correction(system, u), u[free])
     field = FemField(mesh, dofmap.degree, u, dofmap)
 
     resid = A_ff @ u[free] - (b[free] - A_fc @ u[fixed])

@@ -21,7 +21,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .fem import (FemField, bary_gradients, build_dofmap, element_stiffness,
-                  factor_spd, scatter, shape_values)
+                  factor_spd, row_order, scatter, shape_values)
 from .geometry import BoundaryPartition, DomainError, SpanInfo
 from .mesher import GAMMA1, TaggedMesh, refine
 from .quadrature import TRI_POINTS, TRI_WEIGHTS
@@ -81,8 +81,9 @@ def _p1_matrices(mesh: TaggedMesh, alpha: float, seg_a, seg_b):
     weights = _distance_weights(mesh, alpha, seg_a, seg_b)
     Nsh = shape_values(1, TRI_POINTS)                            # (7, 3)
     mass = np.einsum("q,qi,qj->ij", TRI_WEIGHTS, Nsh, Nsh)
-    A = scatter(dofmap, element_stiffness(G, areas, 1, weights))
-    M = scatter(dofmap, areas[:, None, None] * mass)
+    order = row_order(dofmap)
+    A = scatter(dofmap, order, element_stiffness(G, areas, 1, weights))
+    M = scatter(dofmap, order, areas[:, None, None] * mass)
     return A, M
 
 

@@ -1,13 +1,15 @@
 """Reference computations the tests share and the library's reports never
 need: per-point field evaluation, quadrature norms, the auxiliary field h,
 point location, adaptive-quadrature area and length, rigid rotations, the
-earlier interior sphere radius that bisects every sample, and the two-level
-CG preconditioner and CG loop written with whole-array temporaries."""
+earlier interior sphere radius that bisects every sample, the two-level
+CG preconditioner and CG loop written with whole-array temporaries, and the
+COO route of the global matrix scatter."""
 
 import math
 from dataclasses import replace
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.integrate import quad
 
 from conetorsion import fem
@@ -256,3 +258,14 @@ def pcg(A, b, x, precondition, stop, steps):
         q = A @ p
         alpha = rz / fem._dot(p, q)
         x, r = x + alpha * p, r - alpha * q
+
+
+def coo_scatter(dofmap, Ke):
+    """Global matrix from element blocks (nt, nloc, nloc) through COO triplets
+    with int32 indices and ``tocsr`` (the route ``fem.scatter`` replaces)."""
+    dofs = dofmap.elem_dofs.astype(np.int32)
+    nloc = dofs.shape[1]
+    rows = np.repeat(dofs, nloc, axis=1).ravel()
+    cols = np.tile(dofs, (1, nloc)).ravel()
+    return sp.coo_matrix((Ke.ravel(), (rows, cols)),
+                         shape=(dofmap.n_dofs, dofmap.n_dofs)).tocsr()

@@ -536,6 +536,117 @@ def test_solve_holds_no_whole_matrix_temporaries(pert_quarter_spec):
     assert peak < 2.5 * nbytes
 
 
+def _ladder_and_disk3(pert_quarter_spec):
+    """quarter4 at h = 0.025 refined 0, 1 and 2 times (8.6k to 136k P2 dofs),
+    and the disk3 sweep member eps = 0.04 at h = 0.025."""
+    from conetorsion import FourierRadius, make_sector_domain
+    meshes = [triangulate(pert_quarter_spec, 0.025)]
+    meshes += [refine(meshes[0])]
+    meshes += [refine(meshes[1])]
+    disk3 = make_sector_domain(2 * np.pi, FourierRadius(1.0, [(3, 0.04)]), 512)
+    return meshes + [triangulate(disk3, 0.025)]
+
+
+def _same_csr(A, B):
+    """Byte-equal CSR arrays and dtypes; A owns its nnz entries and no more."""
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(A, name), getattr(B, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    for a in (A.indices, A.data):
+        assert a.base is None and a.size == A.nnz
+
+
+def test_scatter_matches_the_coo_route_byte_for_byte(pert_quarter_spec):
+    from conetorsion import FourierRadius, make_sector_domain
+    from conetorsion.fem import (bary_gradients, build_dofmap, element_stiffness,
+                                 shape_values)
+    from conetorsion.poincare import (_boundary_segments, _distance_weights,
+                                      _p1_matrices)
+    from conetorsion.quadrature import TRI_POINTS, TRI_WEIGHTS
+    from tests.oracles import coo_scatter
+    obtuse = triangulate(make_sector_domain(
+        np.pi / 2, FourierRadius(1.0, [(5, 0.08)]), 256), 0.05)
+    meshes = _ladder_and_disk3(pert_quarter_spec) + [
+        refine(rectangle_mesh(12, 9)), obtuse]
+    for mesh in meshes:
+        G, areas = bary_gradients(mesh)
+        _same_csr(assemble(mesh, 2).matrix,
+                  coo_scatter(build_dofmap(mesh, 2), element_stiffness(G, areas, 2)))
+    N = shape_values(1, TRI_POINTS)
+    mass = np.einsum("q,qi,qj->ij", TRI_WEIGHTS, N, N)
+    for mesh in (meshes[0], obtuse):
+        G, areas = bary_gradients(mesh)
+        dofmap, seg = build_dofmap(mesh, 1), _boundary_segments(mesh)
+        for alpha in (0.0, 0.5, 1.0):
+            A, M = _p1_matrices(mesh, alpha, *seg)
+            _same_csr(A, coo_scatter(dofmap, element_stiffness(
+                G, areas, 1, _distance_weights(mesh, alpha, *seg))))
+            _same_csr(M, coo_scatter(dofmap, areas[:, None, None] * mass))
+
+
+def test_assemble_peak_stays_near_the_matrix_size(pert_quarter_spec):
+    # quarter4 refined once: 34,225 dofs.  The traced peak of assemble
+    # measured 2.97x the bytes of the matrix it returns; the COO route
+    # (triplets, duplicate-length CSR and views of it kept) 3.93x.
+    import tracemalloc
+    from conetorsion.fem import bary_gradients
+    mesh = refine(triangulate(pert_quarter_spec, 0.025))
+    mesh.edge_table()
+    bary_gradients(mesh)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    base = tracemalloc.get_traced_memory()[0]
+    try:
+        A = assemble(mesh, 2).matrix
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < 3.5 * (A.data.nbytes + A.indices.nbytes + A.indptr.nbytes)
+
+
+def test_correction_gradients_are_formed_on_the_owners_only(pert_quarter_spec,
+                                                            monkeypatch):
+    from conetorsion import fem
+    from conetorsion.fem import FemField, bary_gradients, shape_bary_grads
+    whole = FemField.vertex_gradients
+    calls, seen = [], []
+    correction = fem._midpoint_correction
+
+    def spy(system, u):
+        gvals = correction(system, u)
+        seen.append((u.copy(), gvals))
+        return gvals
+
+    monkeypatch.setattr(FemField, "vertex_gradients",
+                        lambda self: calls.append(self) or whole(self))
+    monkeypatch.setattr(fem, "_midpoint_correction", spy)
+    for mesh in _ladder_and_disk3(pert_quarter_spec):
+        system = assemble(mesh, 2)
+        u = solve(system)
+        assert calls == []
+        u0, gvals = seen.pop()
+        # the whole-mesh route: every element's vertex gradients, then the
+        # owners' centroid gradients
+        rows = np.flatnonzero(mesh.boundary_tags == GAMMA0)
+        edges, dofmap = mesh.edge_table(), system.dofmap
+        dofs = dofmap.n_vertices + edges.boundary[rows]
+        m = dofmap.node_xy[dofs]
+        du = np.einsum("vla,el->eva", shape_bary_grads(2, np.eye(3)),
+                       u0[dofmap.elem_dofs])
+        vg = np.einsum("eva,eax->evx", du, bary_gradients(mesh)[0])
+        grad = np.einsum("...v,...vx->...x", np.full(3, 1.0 / 3.0),
+                         vg[edges.owners[rows]])
+        oracle = np.zeros(len(system.dirichlet))
+        oracle[np.searchsorted(system.dirichlet, dofs)] = -np.einsum(
+            "ex,ex->e", grad, mesh.spec.project_to_gamma0(m) - m)
+        assert oracle.tobytes() == gvals.tobytes()
+        assert u.coeffs[system.dirichlet].tobytes() == oracle.tobytes()
+        assert np.count_nonzero(oracle) > 0
+
+
 def test_small_or_poorly_shaped_systems_keep_the_direct_path(quarter_spec,
                                                              disk_spec,
                                                              monkeypatch):
