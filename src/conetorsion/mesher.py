@@ -7,6 +7,8 @@ joined by zigzag strips, and every node is mapped by
 the analytic boundary exactly; uniform refinement re-projects new GAMMA0
 vertices onto the graph.  Where GAMMA0 meets a leg at an obtuse angle, the
 ring mesh is then graded toward that corner by longest-edge bisection.
+Ring triangles that fold over come out inverted and raise ``MeshError``;
+nothing repairs them.
 """
 
 from __future__ import annotations
@@ -29,22 +31,26 @@ class MeshError(RuntimeError):
     """Mesh generation failed (degenerate spec or unattainable target)."""
 
 
-def _edge_vectors(V: np.ndarray, T: np.ndarray):
-    return V[T[:, 1]] - V[T[:, 0]], V[T[:, 2]] - V[T[:, 1]], V[T[:, 0]] - V[T[:, 2]]
+def _edges(V: np.ndarray, T: np.ndarray):
+    """Edge vectors (01, 12, 20) per triangle, (nt, 3, 2), and their lengths."""
+    P = V[T]
+    e = P[:, [1, 2, 0]] - P
+    return e, np.linalg.norm(e, axis=2)
 
 
-def _areas(V: np.ndarray, T: np.ndarray) -> np.ndarray:
-    e01, _, e20 = _edge_vectors(V, T)
-    return 0.5 * (e01[:, 0] * (-e20[:, 1]) - e01[:, 1] * (-e20[:, 0]))
-
-
-def _h_max(V: np.ndarray, T: np.ndarray) -> float:
-    return float(max(np.linalg.norm(e, axis=1).max() for e in _edge_vectors(V, T)))
-
-
-def _check_orientation(V: np.ndarray, T: np.ndarray) -> None:
-    if not np.all(_areas(V, T) > 0):
+def _check_orientation(e: np.ndarray) -> None:
+    # twice the signed area, e01 x e02 with e02 = -e20
+    if not np.all(e[:, 0, 1] * e[:, 2, 0] - e[:, 0, 0] * e[:, 2, 1] > 0):
         raise MeshError("degenerate (inverted) triangles produced")
+
+
+def _size_and_angle(e: np.ndarray, length: np.ndarray) -> tuple[float, float]:
+    """(h_max, smallest interior angle in degrees) from ``_edges``."""
+    # the corner at vertex i lies between e_i and -e_(i-1)
+    prev = [2, 0, 1]
+    c = -np.einsum("tij,tij->ti", e, e[:, prev]) / (length * length[:, prev])
+    return (float(length.max()),
+            float(np.degrees(np.arccos(np.clip(c, -1, 1))).min()))
 
 
 @dataclass(frozen=True)
@@ -54,11 +60,11 @@ class TaggedMesh:
     Triangles are positively oriented; boundary edges are directed so the
     interior lies on their left (outward normal = rotate(-90) of the edge).
     ``spec`` carries the analytic boundary for re-projection, when known.
-    Results derived from the mesh alone (its edge table, refinement, distance
-    fields) are kept in ``_cache``; ``dataclasses.replace`` starts the copy
-    with an empty one, so a rotated or re-tagged mesh never sees the
-    original's results.  ``boundary_edges`` rows are in the order of
-    ``edge_table().boundary``.
+    Results derived from the mesh alone (its edge table, ``h_max`` and
+    ``min_angle``, refinement, distance fields) are kept in ``_cache``;
+    ``dataclasses.replace`` starts the copy with an empty one, so a rotated
+    or re-tagged mesh never sees the original's results.  ``boundary_edges``
+    rows are in the order of ``edge_table().boundary``.
     """
 
     vertices: np.ndarray        # (nv, 2)
@@ -79,20 +85,17 @@ class TaggedMesh:
 
     @property
     def h_max(self) -> float:
-        return _h_max(self.vertices, self.triangles)
+        return self._shape()[0]
 
     @property
     def min_angle(self) -> float:
         """Smallest interior angle over all triangles, degrees."""
-        v, t = self.vertices, self.triangles
-        best = 180.0
-        for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-            u = v[t[:, j]] - v[t[:, i]]
-            w = v[t[:, k]] - v[t[:, i]]
-            c = np.einsum("ij,ij->i", u, w) / (
-                np.linalg.norm(u, axis=1) * np.linalg.norm(w, axis=1))
-            best = min(best, float(np.degrees(np.arccos(np.clip(c, -1, 1))).min()))
-        return best
+        return self._shape()[1]
+
+    def _shape(self) -> tuple[float, float]:
+        if "shape" not in self._cache:
+            self._cache["shape"] = _size_and_angle(*_edges(self.vertices, self.triangles))
+        return self._cache["shape"]
 
     def edge_table(self) -> EdgeTable:
         """The mesh's ``EdgeTable``, computed once and cached."""
@@ -198,10 +201,7 @@ def _ring_mesh(spec: DomainSpec, n: int):
         third = np.where(outer, at(j + 1, outer_i + 1), at(j, inner_i + 1))
         tris.append(np.stack([at(j, inner_i), at(j + 1, outer_i), third],
                              axis=-1).reshape(-1, 3))
-    T = np.concatenate(tris)
-    flip = _areas(V, T) < 0
-    T[flip] = T[flip][:, [0, 2, 1]]
-    return V, T
+    return V, np.concatenate(tris)
 
 
 def triangle_edges(triangles: np.ndarray) -> np.ndarray:
@@ -278,11 +278,11 @@ def triangulate(spec: DomainSpec, h_target: float) -> TaggedMesh:
     n = max(2, math.ceil(r_max / h_target))
     for _ in range(8):
         V, T = _ring_mesh(spec, n)
-        h_max = _h_max(V, T)
-        if h_max <= 1.5 * h_target:
+        e, length = _edges(V, T)
+        if length.max() <= 1.5 * h_target:
             return _grade_corners(_finalize(spec, V, T), CORNER_FLOOR * h_target)
-        _check_orientation(V, T)     # a rejected attempt raises as _finalize would
-        n = math.ceil(n * h_max / (1.4 * h_target))
+        _check_orientation(e)        # a rejected attempt raises as _finalize would
+        n = math.ceil(n * length.max() / (1.4 * h_target))
     raise MeshError("could not reach the mesh-size target")
 
 
@@ -321,8 +321,7 @@ def _bisect(V, T, marked, g0, spec):
     """
     split = mids = np.empty(0, dtype=np.int64)
     while marked.any():
-        P = V[T[marked]]
-        j = np.linalg.norm(P[:, [1, 2, 0]] - P, axis=2).argmax(axis=1)
+        j = _edges(V, T[marked])[1].argmax(axis=1)
         t = np.take_along_axis(T[marked], (j[:, None] + np.arange(3)) % 3, axis=1)
         keys = edge_key(t[:, :2], _KEY_BASE)
         fresh = np.setdiff1d(keys, split)
@@ -352,9 +351,8 @@ def _grade_corners(mesh: TaggedMesh, h_floor: float) -> TaggedMesh:
     V, T = mesh.vertices, mesh.triangles
     g0 = edge_key(mesh.gamma0_edges(), _KEY_BASE)
     while True:
-        P = V[T]
-        size = np.linalg.norm(P[:, [1, 2, 0]] - P, axis=2).max(axis=1)
-        dist = np.linalg.norm(P.mean(axis=1)[:, None] - corners, axis=2).min(axis=1)
+        size = _edges(V, T)[1].max(axis=1)
+        dist = np.linalg.norm(V[T].mean(axis=1)[:, None] - corners, axis=2).min(axis=1)
         marked = size > np.maximum(CORNER_GRADE * dist, h_floor)
         if not marked.any():
             return _finalize(mesh.spec, V, T)
@@ -362,7 +360,8 @@ def _grade_corners(mesh: TaggedMesh, h_floor: float) -> TaggedMesh:
 
 
 def _finalize(spec: DomainSpec | None, V: np.ndarray, T: np.ndarray) -> TaggedMesh:
-    _check_orientation(V, T)
+    e, length = _edges(V, T)
+    _check_orientation(e)
     table = _edge_table(T, len(V))
     edges = table.boundary_edges
     if spec is not None:
@@ -371,6 +370,7 @@ def _finalize(spec: DomainSpec | None, V: np.ndarray, T: np.ndarray) -> TaggedMe
         tags = np.full(len(edges), GAMMA0, dtype=np.int64)
     mesh = TaggedMesh(V, T, edges, tags, spec)
     mesh._cache["edges"] = table
+    mesh._cache["shape"] = _size_and_angle(e, length)
     return mesh
 
 

@@ -204,8 +204,8 @@ def run_sweep(family: Family, h_target: float, degree: int = 2, *,
     base = family.members[0][1]
     part0 = boundary_partition(base)
     span0 = normal_span(part0)
-    mesh0 = triangulate(base, h_target)
-    lam, mu = estimate_lambda(mesh0, part0, span0)
+    # no local keeps the base mesh and its distance caches through the members
+    lam, mu = estimate_lambda(triangulate(base, h_target), part0, span0)
 
     def one(member):
         """(row, None) for a solved member, (None, (eps, reason)) for a failed one."""

@@ -164,6 +164,19 @@ def test_non_positive_mesh_target_is_numerical_error(tmp_path, capsys, h_target)
     assert "error: h_target must be positive" in capsys.readouterr().err
 
 
+def test_folding_ring_mesh_is_numerical_error(tmp_path, capsys):
+    # r = 1 + 0.6 cos 8t folds the ring triangles at h = 0.05: no report row
+    body = (QUARTER.replace("angle = pi/2", "angle = 2pi")
+            .replace("radius = constant 1.0", "radius = fourier 1.0 8,0.6")
+            .replace("samples = 128", "samples = 512")
+            .replace("h_target = 0.1", "h_target = 0.05"))
+    code = main(["solve", "--config", write_config(tmp_path, body),
+                 "--out", str(tmp_path)])
+    assert code == cli.EXIT_NUMERICAL
+    assert "inverted" in capsys.readouterr().err
+    assert not (tmp_path / "q_report.csv").exists()
+
+
 def test_degree_one_is_validation_error(tmp_path, capsys):
     body = QUARTER.replace("degree = 2", "degree = 1")
     code = main(["solve", "--config", write_config(tmp_path, body),

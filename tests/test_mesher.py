@@ -123,6 +123,94 @@ def test_triangulate_checks_orientation_on_a_rejected_ring_mesh(disk_spec,
     assert rings == [40]
 
 
+def _folding_spec(a):
+    """r = 1 + a cos 8t on the full plane: at h = 0.05 the straight-sided ring
+    triangles fold over for a >= 0.4."""
+    from conetorsion import FourierRadius, make_sector_domain
+    return make_sector_domain(2 * math.pi, FourierRadius(1.0, [(8, a)]), 512)
+
+
+@pytest.mark.parametrize("a", [0.4, 0.5, 0.6])
+def test_folding_ring_meshes_are_rejected(a):
+    with pytest.raises(MeshError, match="inverted"):
+        triangulate(_folding_spec(a), 0.05)
+
+
+def _benchmark_specs():
+    """(spec, h) of the sweep-disk3 members and the quarter4 workloads."""
+    from conetorsion import (ConstantRadius, FourierRadius, make_family,
+                             make_sector_domain)
+    disk = make_sector_domain(2 * math.pi, ConstantRadius(1.0), 512)
+    quarter4 = make_sector_domain(math.pi / 2, FourierRadius(1.0, [(4, 0.05)]), 256)
+    members = make_family(disk, 3, (0.02, 0.04, 0.08)).members
+    return [(spec, 0.025) for _, spec in members] + [(quarter4, 0.035),
+                                                     (quarter4, 0.025)]
+
+
+def test_meshes_tile_their_boundary_polygon(quarter_spec, disk_spec, half_spec,
+                                            pert_disk_spec, pert_quarter_spec,
+                                            shifted_half_spec):
+    """The triangle areas sum to the shoelace area of the boundary edges: no
+    triangle overlaps another or folds outside the domain."""
+    cases = [(spec, h) for spec in (quarter_spec, disk_spec, half_spec, pert_disk_spec,
+                                    pert_quarter_spec, shifted_half_spec)
+             for h in (0.1, 0.05)]
+    cases += _benchmark_specs() + [(_sector(math.pi / 2, 5, 0.08), 0.05),
+                                   (_folding_spec(0.3), 0.05)]
+    for spec, h in cases:
+        mesh = triangulate(spec, h)
+        V = mesh.vertices
+        P = V[mesh.triangles]
+        d1, d2 = P[:, 1] - P[:, 0], P[:, 2] - P[:, 0]
+        areas = 0.5 * np.abs(d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+        a, b = V[mesh.boundary_edges[:, 0]], V[mesh.boundary_edges[:, 1]]
+        polygon = 0.5 * np.sum(a[:, 0] * b[:, 1] - b[:, 0] * a[:, 1])
+        assert math.fsum(areas) == pytest.approx(polygon, rel=1e-12, abs=0)
+
+
+def _h_max_oracle(mesh):
+    V, T = mesh.vertices, mesh.triangles
+    edges = (V[T[:, 1]] - V[T[:, 0]], V[T[:, 2]] - V[T[:, 1]], V[T[:, 0]] - V[T[:, 2]])
+    return float(max(np.linalg.norm(e, axis=1).max() for e in edges))
+
+
+def _min_angle_oracle(mesh):
+    """The angle at each corner from its own two gathered edge vectors."""
+    v, t = mesh.vertices, mesh.triangles
+    best = 180.0
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        u = v[t[:, j]] - v[t[:, i]]
+        w = v[t[:, k]] - v[t[:, i]]
+        c = np.einsum("ij,ij->i", u, w) / (
+            np.linalg.norm(u, axis=1) * np.linalg.norm(w, axis=1))
+        best = min(best, float(np.degrees(np.arccos(np.clip(c, -1, 1))).min()))
+    return best
+
+
+def test_h_max_and_min_angle_are_the_per_corner_formulas_from_one_pass(monkeypatch):
+    specs = _benchmark_specs()
+    quarter4 = triangulate(*specs[-1])
+    meshes = [quarter4, refine(quarter4), refine(refine(quarter4)),
+              triangulate(*specs[2]), triangulate(_sector(math.pi / 2, 5, 0.08), 0.05)]
+    calls = []
+    edges = mesher._edges
+
+    def spy(V, T):
+        calls.append(len(T))
+        return edges(V, T)
+
+    monkeypatch.setattr(mesher, "_edges", spy)
+    for mesh in meshes:
+        # _finalize seeds both values; a copy computes them again, once
+        assert "shape" in mesh._cache
+        for m in (mesh, replace(mesh)):
+            assert m.h_max == _h_max_oracle(m)
+            assert m.min_angle == _min_angle_oracle(m)
+            assert m.h_max == _h_max_oracle(m)
+        assert calls == [mesh.n_triangles]
+        calls.clear()
+
+
 # ---------------------------------------------------------------------------
 # refinement
 # ---------------------------------------------------------------------------
@@ -353,13 +441,7 @@ def _ring_mesh_oracle(spec, n):
                     tris.append((at(inner, i0 + ic), at(outer, o0 + oc),
                                  at(inner, i0 + ic + 1)))
                     ic += 1
-    V = np.asarray(verts, dtype=float)
-    T = np.asarray(tris, dtype=np.int64)
-    e1 = V[T[:, 1]] - V[T[:, 0]]
-    e2 = V[T[:, 2]] - V[T[:, 0]]
-    flip = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0] < 0
-    T[flip] = T[flip][:, [0, 2, 1]]
-    return V, T
+    return np.asarray(verts, dtype=float), np.asarray(tris, dtype=np.int64)
 
 
 def test_ring_mesh_matches_the_loop_oracle(disk_spec, pert_quarter_spec):
