@@ -2,10 +2,9 @@
 planar convex cones: rigidity reproduction, the volume identity, weighted
 Poincare constants, and quantitative stability sweeps."""
 
-from .geometry import (BoundaryPartition, Cone2D, ConstantRadius, DomainError,
-                       DomainSpec, FourierRadius, Polyline,
-                       RadiusFunction, ScaledRadius, SpanInfo, TableRadius,
-                       boundary_partition, domain_diameter,
+from .geometry import (BoundaryPartition, ConstantRadius, DomainError,
+                       DomainSpec, FourierRadius, RadiusFunction, ScaledRadius,
+                       SpanInfo, TableRadius, boundary_partition, domain_diameter,
                        exterior_sphere_radius, interior_sphere_radius,
                        make_sector_domain, normal_span, offset_disk_radius,
                        parse_radius_spec, polar_curvature, serrin_radius)

@@ -179,7 +179,7 @@ def cmd_solve(cfg: RunConfig, out_dir: str, require_constant: bool = False) -> i
     if require_constant and not isinstance(cfg.spec.radius_fn, ConstantRadius):
         raise ConfigError("rigidity run needs a constant radius "
                           "(the cone is only rigid for ball sectors)")
-    if require_constant and not cfg.spec.cone.is_convex:
+    if require_constant and not cfg.spec.is_convex:
         raise ConfigError("the rigidity statement needs the cone to be convex")
     res = stability.run_pipeline(cfg.spec, cfg.h_target, domain_id=cfg.prefix)
     rep = res.report

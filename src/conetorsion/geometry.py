@@ -201,41 +201,30 @@ def parse_radius_spec(text: str, points=None) -> RadiusFunction:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Cone2D:
-    """Sector {(r cos t, r sin t) : 0 < t < beta, r > 0}; beta = 2*pi is all of R^2."""
-
-    opening_angle: float
-
-    def __post_init__(self):
-        beta = self.opening_angle
-        if not (0.0 < beta <= TWO_PI + _FULL_PLANE_TOL):
-            raise DomainError(f"opening angle must lie in (0, 2*pi], got {beta}")
-
-    @property
-    def is_full_plane(self) -> bool:
-        return abs(self.opening_angle - TWO_PI) <= _FULL_PLANE_TOL
-
-    @property
-    def is_convex(self) -> bool:
-        return self.opening_angle <= math.pi + _FULL_PLANE_TOL or self.is_full_plane
-
-
-@dataclass(frozen=True)
 class DomainSpec:
-    """A cone plus the radial graph bounding GAMMA0, with sampling resolution."""
+    """The cone {(r cos t, r sin t) : 0 < t < beta, r > 0} (beta = 2*pi is all
+    of R^2) cut by the radial graph bounding GAMMA0, with sampling resolution."""
 
-    cone: Cone2D
+    beta: float
     radius_fn: RadiusFunction
     sample_count: int
 
+    def __post_init__(self):
+        if not (0.0 < self.beta <= TWO_PI + _FULL_PLANE_TOL):
+            raise DomainError(f"opening angle must lie in (0, 2*pi], got {self.beta}")
+
     @property
-    def beta(self) -> float:
-        return self.cone.opening_angle
+    def is_full_plane(self) -> bool:
+        return abs(self.beta - TWO_PI) <= _FULL_PLANE_TOL
+
+    @property
+    def is_convex(self) -> bool:
+        return self.beta <= math.pi + _FULL_PLANE_TOL or self.is_full_plane
 
     def gamma0_angles(self, n=None) -> np.ndarray:
         """Sample angles of the GAMMA0 polyline (n segments)."""
         n = self.sample_count if n is None else int(n)
-        if self.cone.is_full_plane:
+        if self.is_full_plane:
             return np.linspace(0.0, TWO_PI, n + 1)[:-1]
         return np.linspace(0.0, self.beta, n + 1)
 
@@ -247,7 +236,7 @@ class DomainSpec:
     def clamp_angle(self, t):
         """Map an atan2 angle into the parameter range of the graph."""
         t = np.asarray(np.mod(t, TWO_PI), dtype=float)
-        if self.cone.is_full_plane:
+        if self.is_full_plane:
             return t
         return np.clip(t, 0.0, self.beta)
 
@@ -258,44 +247,27 @@ class DomainSpec:
         return self.gamma0_point(t)
 
 
-@dataclass(frozen=True)
-class Polyline:
-    """Directed segment chain; closed (last point joined to the first) when wrap."""
-
-    points: np.ndarray      # (n+1, 2), or (n, 2) closed when wrap=True
-    wrap: bool = False
-
-    def segments(self):
-        a = self.points
-        b = np.roll(self.points, -1, axis=0) if self.wrap else self.points[1:]
-        return (a if self.wrap else a[:-1]), b
-
-    @property
-    def normals(self) -> np.ndarray:
-        """(n, 2) outward unit normals: the interior is left of each segment."""
-        a, b = self.segments()
-        d = b - a
-        lengths = np.linalg.norm(d, axis=1)
-        return np.stack([d[:, 1], -d[:, 0]], axis=1) / lengths[:, None]
+def outward_normals(d) -> np.ndarray:
+    """(n, 2) unit normals of the directions d (segment b - a, or a tangent),
+    each turned by -90 degrees: outward when the interior lies on the left."""
+    n = np.stack([d[:, 1], -d[:, 0]], axis=1)
+    return n / np.linalg.norm(n, axis=1)[:, None]
 
 
 @dataclass(frozen=True)
 class BoundaryPartition:
-    """GAMMA0 polyline plus straight GAMMA1 segments."""
+    """GAMMA0 as (start, end) segment arrays plus the straight GAMMA1 legs."""
 
-    gamma0: Polyline
+    gamma0: tuple[np.ndarray, np.ndarray]
     gamma1_segments: np.ndarray   # (k, 2, 2): [start, end] per leg, CCW order
     gamma1_normals: np.ndarray    # (k, 2)
 
     def all_segments(self):
         """(start, end, normal) arrays over GAMMA0 then GAMMA1; for distances."""
-        a0, b0 = self.gamma0.segments()
-        if len(self.gamma1_segments) == 0:
-            return a0, b0, self.gamma0.normals
-        a = np.vstack([a0, self.gamma1_segments[:, 0]])
-        b = np.vstack([b0, self.gamma1_segments[:, 1]])
-        nrm = np.vstack([self.gamma0.normals, self.gamma1_normals])
-        return a, b, nrm
+        a0, b0 = self.gamma0
+        return (np.vstack([a0, self.gamma1_segments[:, 0]]),
+                np.vstack([b0, self.gamma1_segments[:, 1]]),
+                np.vstack([outward_normals(b0 - a0), self.gamma1_normals]))
 
 
 @dataclass(frozen=True)
@@ -318,20 +290,18 @@ def make_sector_domain(beta: float, radius_fn, samples: int = 256) -> DomainSpec
     not a RadiusFunction, non-positive radius, or a full-plane graph that
     does not close up.
     """
-    cone = Cone2D(float(beta))
+    spec = DomainSpec(float(beta), radius_fn, int(samples))
     if not isinstance(radius_fn, RadiusFunction):
         raise DomainError(f"radius_fn must be a RadiusFunction, not {radius_fn!r}")
-    samples = int(samples)
-    if samples < 8:
+    if spec.sample_count < 8:
         raise DomainError("need at least 8 boundary samples")
-    spec = DomainSpec(cone, radius_fn, samples)
-    ts = np.linspace(0.0, spec.beta, 4 * samples + 1)
+    ts = np.linspace(0.0, spec.beta, 4 * spec.sample_count + 1)
     r = np.asarray(radius_fn(ts), dtype=float)
     if not np.all(np.isfinite(r)):
         raise DomainError("radius function must be finite on [0, beta]")
     if np.min(r) <= 0.0:
         raise DomainError(f"radius function must be positive (min {np.min(r):g})")
-    if cone.is_full_plane:
+    if spec.is_full_plane:
         scale = max(1.0, float(np.max(np.abs(r))))
         if abs(r[0] - r[-1]) > 1e-9 * scale:
             raise DomainError("full-plane radial graph must close: r(0) == r(2*pi)")
@@ -340,12 +310,13 @@ def make_sector_domain(beta: float, radius_fn, samples: int = 256) -> DomainSpec
 
 def boundary_partition(spec: DomainSpec) -> BoundaryPartition:
     """GAMMA0 as a sampled polyline and GAMMA1 as the straight legs."""
-    gamma0 = Polyline(spec.gamma0_point(spec.gamma0_angles()),
-                      wrap=spec.cone.is_full_plane)
-    if gamma0.wrap:
+    pts = spec.gamma0_point(spec.gamma0_angles())
+    if spec.is_full_plane:
+        gamma0 = pts, np.roll(pts, -1, axis=0)
         g1_segs = np.zeros((0, 2, 2))
         g1_norms = np.zeros((0, 2))
     else:
+        gamma0 = pts[:-1], pts[1:]
         beta = spec.beta
         p_start = spec.gamma0_point(0.0)
         p_end = spec.gamma0_point(beta)
@@ -578,7 +549,7 @@ def _inside_closure(spec: DomainSpec, pts, tol: float) -> np.ndarray:
     rad = np.linalg.norm(pts, axis=1)
     ang = np.mod(np.arctan2(pts[:, 1], pts[:, 0]), TWO_PI)
     ok_r = rad <= np.asarray(spec.radius_fn(spec.clamp_angle(ang))) + tol
-    if spec.cone.is_full_plane:
+    if spec.is_full_plane:
         return ok_r
     in_cone = (ang <= spec.beta + tol) | (ang >= TWO_PI - tol) | (rad <= tol)
     return ok_r & in_cone
@@ -597,16 +568,14 @@ def interior_sphere_radius(spec: DomainSpec) -> InteriorSphere:
     shrinks; the samples are independent, so the result is unchanged.
     """
     part = boundary_partition(spec)
-    a0, b0 = part.gamma0.segments()
+    a0, b0 = part.gamma0
     ts = spec.gamma0_angles(_SPHERE_SAMPLES)
     pts = spec.gamma0_point(ts)
     # outward normal of the graph at the sample angles
     dr = np.asarray(spec.radius_fn.deriv(ts), dtype=float)
     r = np.asarray(spec.radius_fn(ts), dtype=float)
-    tang = np.stack([dr * np.cos(ts) - r * np.sin(ts),
-                     dr * np.sin(ts) + r * np.cos(ts)], axis=1)
-    tang /= np.linalg.norm(tang, axis=1)[:, None]
-    nrm = np.stack([tang[:, 1], -tang[:, 0]], axis=1)
+    nrm = outward_normals(np.stack([dr * np.cos(ts) - r * np.sin(ts),
+                                    dr * np.sin(ts) + r * np.cos(ts)], axis=1))
 
     rho_hi = float(np.max(r))
     geom_tol = 2.0 * rho_hi * (spec.beta / len(a0)) ** 2 + 1e-12
@@ -643,7 +612,7 @@ def domain_diameter(spec: DomainSpec) -> float:
     correctly rounded, so this is the largest of the pairwise distances.
     """
     pts = spec.gamma0_point(spec.gamma0_angles(max(spec.sample_count, 512)))
-    if not spec.cone.is_full_plane:
+    if not spec.is_full_plane:
         pts = np.vstack([pts, [[0.0, 0.0]]])
     x, y = pts[:, 0], pts[:, 1]
     best = []

@@ -104,11 +104,6 @@ class TaggedMesh:
             table = self._cache["edges"] = _edge_table(self.triangles, self.n_vertices)
         return table
 
-    def boundary_normals(self) -> np.ndarray:
-        d = self.vertices[self.boundary_edges[:, 1]] - self.vertices[self.boundary_edges[:, 0]]
-        n = np.stack([d[:, 1], -d[:, 0]], axis=1)
-        return n / np.linalg.norm(n, axis=1)[:, None]
-
     def gamma0_edges(self) -> np.ndarray:
         return self.boundary_edges[self.boundary_tags == GAMMA0]
 
@@ -157,7 +152,7 @@ class TaggedMesh:
         with it, bit for bit, and go on past it; 0 otherwise."""
         if self.spec is None:
             return 0
-        a0, b0 = boundary_partition(self.spec).gamma0.segments()
+        a0, b0 = boundary_partition(self.spec).gamma0
         n0 = len(a0)
         if (len(seg_a) > n0 and seg_a[:n0].tobytes() == a0.tobytes()
                 and seg_b[:n0].tobytes() == b0.tobytes()):
@@ -168,7 +163,7 @@ class TaggedMesh:
 def _ring_mesh(spec: DomainSpec, n: int):
     """Vertices/triangles of the polar ring construction with n rings."""
     beta = spec.beta
-    full = spec.cone.is_full_plane
+    full = spec.is_full_plane
     q = max(1, int(round(beta / (math.pi / 3))))
     xy = [np.zeros((1, 2))]
     starts = [0]                          # first vertex of each ring (0: the apex)
@@ -250,7 +245,7 @@ def _edge_table(T: np.ndarray, nv: int) -> EdgeTable:
 
 def _tag_edges(spec: DomainSpec, vertices: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """GAMMA1 iff both endpoints sit on the same cone leg (origin on both)."""
-    if spec.cone.is_full_plane:
+    if spec.is_full_plane:
         return np.full(len(edges), GAMMA0, dtype=np.int64)
     x, y = vertices[:, 0], vertices[:, 1]
     tol = 1e-9 * float(np.max(np.linalg.norm(vertices, axis=1)))
@@ -305,7 +300,7 @@ _KEY_BASE = 1 << 31       # edge_key base that outlives any vertex count here
 
 def _obtuse_corners(spec: DomainSpec) -> np.ndarray:
     """(k, 2) GAMMA0/GAMMA1 corners whose interior angle exceeds pi/2."""
-    if spec.cone.is_full_plane:
+    if spec.is_full_plane:
         return np.zeros((0, 2))
     t = np.array([0.0, spec.beta])
     # r'/r is tan(theta - pi/2) at t = 0 and -tan(theta - pi/2) at t = beta

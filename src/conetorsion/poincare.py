@@ -159,43 +159,42 @@ def mu_estimate(mesh: TaggedMesh, alpha: float, levels: int = 1,
 # eta
 # ---------------------------------------------------------------------------
 
-def _gamma1_node_normals(mesh: TaggedMesh) -> dict:
-    """vertex id -> list of incident GAMMA1 unit normals."""
-    rows = np.flatnonzero(mesh.boundary_tags == GAMMA1)
-    normals = mesh.boundary_normals()[rows]
-    out: dict[int, list] = {}
-    for row, nu in zip(mesh.boundary_edges[rows].tolist(), normals):
-        for v in row:
-            lst = out.setdefault(v, [])
-            if not any(abs(nu @ e) > 1 - 1e-12 for e in lst):
-                lst.append(nu)
-    return out
+def _constraint_basis(mesh: TaggedMesh, partition: BoundaryPartition,
+                      span: SpanInfo, drop_constraint: bool) -> sp.csr_matrix:
+    """Sparse basis Z of the admissible P1 vector subspace (dof = 2*node+comp).
 
-
-def _constraint_basis(mesh: TaggedMesh, span: SpanInfo,
-                      drop_constraint: bool) -> sp.csr_matrix:
-    """Sparse basis Z of the admissible P1 vector subspace (dof = 2*node+comp)."""
+    The legs pass through the origin, so a GAMMA1 edge lies on the leg j whose
+    line is nearest its midpoint, the least |mid . nu_j|.  A node's class has
+    bit j set when it lies on leg j (0 off GAMMA1, both bits at the apex).
+    The columns of a node are S @ D, D a null-space basis of the rows
+    S^T nu_j over the legs of its class; D = I in class 0.  So there is one
+    SVD per class, not per node.
+    """
     n = mesh.n_vertices
     S = span.basis.T                      # (2, k) columns span the value space
-    node_normals = {} if drop_constraint else _gamma1_node_normals(mesh)
-    # the columns of a node are S @ D, D a null-space basis of its normal
-    # conditions; D = I at the nodes without one
-    blocks = {}
-    for v, normals in node_normals.items():
-        C = np.array([S.T @ nu for nu in normals])
+    legs = partition.gamma1_normals
+    cls = np.zeros(n, dtype=np.int64)
+    if not drop_constraint:
+        edges = mesh.boundary_edges[mesh.boundary_tags == GAMMA1]
+        mid = 0.5 * (mesh.vertices[edges[:, 0]] + mesh.vertices[edges[:, 1]])
+        leg = np.abs(mid @ legs.T).argmin(axis=1)
+        np.bitwise_or.at(cls, edges, (1 << leg)[:, None])
+    blocks = np.zeros((1 << len(legs), 2, span.k))   # (class, component, column)
+    ncols = np.zeros(len(blocks), dtype=np.int64)
+    blocks[0], ncols[0] = S @ np.eye(span.k), span.k
+    for c in np.unique(cls[cls > 0]):
+        C = np.array([S.T @ nu for j, nu in enumerate(legs) if c >> j & 1])
         _, s, vt = np.linalg.svd(C, full_matrices=True)
         rank = int(np.sum(s > 1e-12))
-        blocks[v] = S @ vt[rank:].T      # (2, k-rank) directions at this node
-    width = np.full(n, span.k)
-    width[list(blocks)] = [Bv.shape[1] for Bv in blocks.values()]
+        ncols[c] = span.k - rank
+        blocks[c, :, :ncols[c]] = S @ vt[rank:].T
+    width = ncols[cls]
     start = np.cumsum(width) - width
     node = np.repeat(np.arange(n), width)
-    B = (S @ np.eye(span.k))[:, np.arange(len(node)) - start[node]]
-    for v, Bv in blocks.items():
-        B[:, start[v]:start[v] + width[v]] = Bv
+    vals = blocks[cls[node], :, np.arange(len(node)) - start[node]]   # (ncol, 2)
     rows = np.column_stack([2 * node, 2 * node + 1]).ravel()
     cols = np.repeat(np.arange(len(node)), 2)
-    return sp.coo_matrix((B.T.ravel(), (rows, cols)), shape=(2 * n, len(node))).tocsr()
+    return sp.coo_matrix((vals.ravel(), (rows, cols)), shape=(2 * n, len(node))).tocsr()
 
 
 def eta_estimate(mesh: TaggedMesh, partition: BoundaryPartition, span: SpanInfo,
@@ -209,13 +208,13 @@ def eta_estimate(mesh: TaggedMesh, partition: BoundaryPartition, span: SpanInfo,
     """
     if span.k == 0:
         raise DomainError("eta needs a domain with GAMMA1 (k >= 1)")
-    seg_a0, seg_b0 = partition.gamma0.segments()
+    seg_a0, seg_b0 = partition.gamma0
 
     def constant(current: TaggedMesh) -> float:
         A, M = _p1_matrices(current, alpha, seg_a0, seg_b0)
         A2 = sp.kron(A, sp.identity(2), format="csr")
         M2 = sp.kron(M, sp.identity(2), format="csr")
-        Z = _constraint_basis(current, span, drop_constraint)
+        Z = _constraint_basis(current, partition, span, drop_constraint)
         vals = _smallest_eigs(Z.T @ A2 @ Z, Z.T @ M2 @ Z)
         if drop_constraint:
             return math.sqrt(max(vals[0], 0.0))
@@ -265,6 +264,6 @@ def weighted_hessian_l2(field: FemField, alpha: float,
     """|| d(., GAMMA0)^alpha D^2 field ||_L2 with element-wise Hessians."""
     H = field.element_hessians()
     frob2 = np.einsum("exy,exy->e", H, H)
-    wts = _distance_weights(field.mesh, alpha, *partition.gamma0.segments())
+    wts = _distance_weights(field.mesh, alpha, *partition.gamma0)
     return math.sqrt(float(np.sum(field._areas * frob2 * (TRI_WEIGHTS @ wts))))
 

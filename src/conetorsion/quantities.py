@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fem import DegreeError, FemField, bary_gradients
-from .geometry import (DomainSpec, SpanInfo, boundary_partition, segment_extremes,
-                       serrin_radius)
+from .geometry import (DomainSpec, SpanInfo, boundary_partition, outward_normals,
+                       segment_extremes, serrin_radius)
 from .mesher import GAMMA0, GAMMA1, TaggedMesh
 from .poincare import theorem_constant
 from .quadrature import TRI_POINTS, TRI_WEIGHTS, edge_gauss
@@ -64,7 +64,7 @@ def edge_trace(mesh: TaggedMesh, tag: int, n_gauss: int = 3) -> EdgeTrace:
     b = mesh.vertices[edges[:, 1]]
     d = b - a
     lengths = np.linalg.norm(d, axis=1)
-    normals = np.stack([d[:, 1], -d[:, 0]], axis=1) / lengths[:, None]
+    normals = outward_normals(d)
     s, w = edge_gauss(n_gauss)
     points = a[:, None, :] + s[None, :, None] * d[:, None, :]
     weights = lengths[:, None] * w[None, :]
@@ -154,7 +154,8 @@ def alternative_center(u: FemField) -> Center:
 
 def check_center_constraint(mesh: TaggedMesh, z: np.ndarray) -> None:
     """The identity needs <z, nu> = 0 for every GAMMA1 normal."""
-    normals = mesh.boundary_normals()[mesh.boundary_tags == GAMMA1]
+    edges = mesh.boundary_edges[mesh.boundary_tags == GAMMA1]
+    normals = outward_normals(mesh.vertices[edges[:, 1]] - mesh.vertices[edges[:, 0]])
     viol = float(np.max(np.abs(normals @ z), initial=0.0))
     if viol > _CENTER_TOL * (1.0 + float(np.linalg.norm(z))):
         raise CenterError(
@@ -377,7 +378,7 @@ def u_distance_bounds(u: FemField, spec: DomainSpec, r_i: float) -> DistanceBoun
     a_all, b_all, _ = part.all_segments()
     mesh = u.mesh
     dist_b = mesh.quadrature_distances(a_all, b_all)
-    dist_g = mesh.quadrature_distances(*part.gamma0.segments())
+    dist_g = mesh.quadrature_distances(*part.gamma0)
     depth = -u.values(np.arange(mesh.n_triangles), TRI_POINTS[:, None])
     return DistanceBoundReport(float(np.min(depth - 0.5 * dist_b**2)),
                                float(np.min(depth - 0.5 * dist_g**2)),

@@ -172,20 +172,20 @@ class _RotatedRadius(RadiusFunction):
 def rotated_mesh(mesh, phi: float):
     """The mesh and its full-plane spec turned by phi about the origin."""
     spec = mesh.spec
-    if not spec.cone.is_full_plane:
+    if not spec.is_full_plane:
         raise DomainError("rigid rotation is only representable for beta = 2*pi")
     fn = _RotatedRadius(spec.radius_fn, phi)
     c, s = math.cos(phi), math.sin(phi)
     R = np.array([[c, -s], [s, c]])
     return replace(mesh, vertices=mesh.vertices @ R.T,
-                   spec=DomainSpec(spec.cone, fn, spec.sample_count))
+                   spec=DomainSpec(spec.beta, fn, spec.sample_count))
 
 
 def interior_sphere_radius(spec: DomainSpec, samples: int = 256) -> InteriorSphere:
     """The earlier ``geometry.interior_sphere_radius``: all samples bisected
     at each of the 40 steps."""
     part = boundary_partition(spec)
-    a0, b0 = part.gamma0.segments()
+    a0, b0 = part.gamma0
     ts = spec.gamma0_angles(samples)
     pts = spec.gamma0_point(ts)
     dr = np.asarray(spec.radius_fn.deriv(ts), dtype=float)

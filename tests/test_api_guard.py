@@ -160,6 +160,42 @@ def test_every_export_has_a_caller_outside_tests():
     assert [name for name in exported if name not in read] == []
 
 
+def _references(tree):
+    """Names read in ``tree``: each ``Name``, each ``Attribute`` and each
+    string constant, with multiplicity."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def test_every_function_has_a_caller_outside_tests():
+    """Every function and method defined in ``src/conetorsion``, nested ones
+    too, is referenced (called, read as an attribute or named in a string,
+    as the tracer's ``SPANS`` do) somewhere in src/, demos/ or bench/ (test
+    files aside) outside its own body.  Dunder methods are called by Python
+    itself and are exempt.  A helper left behind by a change fails here."""
+    library = sorted((ROOT / "src" / "conetorsion").glob("*.py"))
+    callers = library + DEMOS + [p for p in (ROOT / "bench").glob("*.py")
+                                 if not p.name.startswith("test_")]
+    count = {}
+    for path in callers:
+        for name in _references(ast.parse(path.read_text())):
+            count[name] = count.get(name, 0) + 1
+    orphans = []
+    for path in library:
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("__"):
+                continue
+            own = sum(name == fn.name for name in _references(fn))
+            if count.get(fn.name, 0) == own:
+                orphans.append(f"{path.name}:{fn.lineno}:{fn.name}")
+    assert orphans == []
+
+
 def _defaulted_parameters(path):
     """(called name, parameter, position or None) of each parameter with a
     default in the module-level functions and class methods of ``path``.

@@ -52,7 +52,7 @@ def _distance_bounds_oracle(u, spec, r_i):
     part = boundary_partition(spec)
     a_all, b_all, _ = part.all_segments()
     dist_b = u.mesh.quadrature_distances(a_all, b_all)
-    dist_g = u.mesh.quadrature_distances(*part.gamma0.segments())
+    dist_g = u.mesh.quadrature_distances(*part.gamma0)
     elems = np.arange(u.mesh.n_triangles)
     m_b = m_g = m_lin = np.inf
     for lam, d_b, d_g in zip(TRI_POINTS, dist_b, dist_g):
@@ -91,7 +91,7 @@ def _boundary_edges_oracle(triangles):
 
 
 def _tag_edges_oracle(spec, vertices, edges):
-    if spec.cone.is_full_plane:
+    if spec.is_full_plane:
         return np.full(len(edges), GAMMA0, dtype=np.int64)
     beta = spec.beta
     pts = vertices
@@ -189,7 +189,10 @@ def _center_violated_oracle(mesh, z):
     g1_rows = np.flatnonzero(mesh.boundary_tags == GAMMA1)
     viol = 0.0
     if len(g1_rows):
-        normals = mesh.boundary_normals()[g1_rows]
+        edges = mesh.boundary_edges[g1_rows]
+        d = mesh.vertices[edges[:, 1]] - mesh.vertices[edges[:, 0]]
+        n = np.stack([d[:, 1], -d[:, 0]], axis=1)
+        normals = n / np.linalg.norm(n, axis=1)[:, None]
         viol = float(np.max(np.abs(normals @ np.asarray(z, dtype=float))))
     return not viol <= 1e-10 * (1.0 + float(np.linalg.norm(z)))
 

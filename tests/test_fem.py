@@ -310,8 +310,8 @@ def test_factor_spd_matches_default_lu(oracle_meshes, quarter_spec):
         A, M = _p1_matrices(mesh, alpha, *_boundary_segments(mesh))
         systems.append((A + M, rng.standard_normal(A.shape[0])))
     part = boundary_partition(quarter_spec)
-    A, M = _p1_matrices(mesh, 0.5, *part.gamma0.segments())
-    Z = _constraint_basis(mesh, normal_span(part), False)
+    A, M = _p1_matrices(mesh, 0.5, *part.gamma0)
+    Z = _constraint_basis(mesh, part, normal_span(part), False)
     A2 = Z.T @ sp.kron(A, sp.identity(2)) @ Z
     M2 = Z.T @ sp.kron(M, sp.identity(2)) @ Z
     systems.append((A2 + M2, rng.standard_normal(A2.shape[0])))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from conetorsion import (ConstantRadius, DomainError, FourierRadius,
+from conetorsion import (ConstantRadius, DomainError, DomainSpec, FourierRadius,
                          TableRadius, boundary_partition, domain_diameter,
                          interior_sphere_radius, make_sector_domain,
                          normal_span, offset_disk_radius, parse_radius_spec,
@@ -25,9 +25,9 @@ PERT_DISK_RI = 0.735   # 1 / max kappa = (1+eps)^2 / (1 + 10 eps), eps = 0.05
 
 def test_make_sector_domain_accepts_standard_cases():
     q = make_sector_domain(math.pi / 2, ConstantRadius(1.0), 256)
-    assert q.cone.is_convex and not q.cone.is_full_plane
+    assert q.is_convex and not q.is_full_plane
     d = make_sector_domain(2 * math.pi, FourierRadius(1.0, [(3, 0.05)]), 512)
-    assert d.cone.is_full_plane
+    assert d.is_full_plane
     assert len(boundary_partition(d).gamma1_segments) == 0
 
 
@@ -35,6 +35,8 @@ def test_make_sector_domain_accepts_standard_cases():
 def test_make_sector_domain_rejects_bad_angle(beta):
     with pytest.raises(DomainError):
         make_sector_domain(beta, ConstantRadius(1.0))
+    with pytest.raises(DomainError):
+        DomainSpec(beta, ConstantRadius(1.0), 256)
 
 
 def test_make_sector_domain_rejects_nonpositive_radius():
@@ -121,7 +123,7 @@ class _ConstantRadiusOracle:
 
 def _gamma0_normals_oracle(spec):
     pts = spec.gamma0_point(spec.gamma0_angles())
-    wrap = spec.cone.is_full_plane
+    wrap = spec.is_full_plane
     a = pts
     b = np.roll(pts, -1, axis=0) if wrap else pts[1:]
     if not wrap:
@@ -134,7 +136,7 @@ def _gamma0_normals_oracle(spec):
 def _domain_diameter_oracle(spec):
     ts = spec.gamma0_angles(max(spec.sample_count, 512))
     pts = spec.gamma0_point(ts)
-    if not spec.cone.is_full_plane:
+    if not spec.is_full_plane:
         pts = np.vstack([pts, [[0.0, 0.0]]])
     diff = pts[:, None, :] - pts[None, :, :]
     return float(np.sqrt((diff**2).sum(axis=2)).max())
@@ -163,9 +165,10 @@ def test_diameter_and_normals_match_oracles(name):
     spec = ORACLE_DOMAINS[name]()
     assert domain_diameter(spec) == _domain_diameter_oracle(spec)
     part = boundary_partition(spec)
-    assert np.array_equal(part.gamma0.normals, _gamma0_normals_oracle(spec))
     _, _, nrm = part.all_segments()
-    assert np.array_equal(nrm[:len(part.gamma0.normals)], part.gamma0.normals)
+    n0 = len(part.gamma0[0])
+    assert np.array_equal(nrm[:n0], _gamma0_normals_oracle(spec))
+    assert np.array_equal(nrm[n0:], part.gamma1_normals)
 
 
 @pytest.mark.parametrize("t", [0.3, np.linspace(-1.0, 7.0, 11),
@@ -211,10 +214,10 @@ def test_gamma1_passes_through_origin(pert_quarter_spec):
 
 def test_partition_normals_unit_and_chord_error(pert_disk_spec):
     part = boundary_partition(pert_disk_spec)
-    norms = np.linalg.norm(part.gamma0.normals, axis=1)
+    norms = np.linalg.norm(part.all_segments()[2], axis=1)
     np.testing.assert_allclose(norms, 1.0, atol=1e-12)
     # chord sagitta stays below (max r) (beta / samples)^2
-    a, b = part.gamma0.segments()
+    a, b = part.gamma0
     mid = 0.5 * (a + b)
     proj = pert_disk_spec.project_to_gamma0(mid)
     gap = np.linalg.norm(proj - mid, axis=1).max()
@@ -281,7 +284,7 @@ def test_serrin_radius_homogeneous(scale, area, length):
 # ---------------------------------------------------------------------------
 
 def rho_extremes(spec, z):
-    dmin, dmax = segment_extremes(*boundary_partition(spec).gamma0.segments(), z)
+    dmin, dmax = segment_extremes(*boundary_partition(spec).gamma0, z)
     return dmax.max(), dmin.min()
 
 
@@ -413,7 +416,7 @@ def disk3_quadrature():
     disk's h = 0.025 mesh (105,000) and its 512 GAMMA0 segments."""
     spec = make_sector_domain(2 * math.pi, ConstantRadius(1.0), 512)
     points = triangulate(spec, 0.025).quadrature_points().reshape(-1, 2)
-    return (points, *boundary_partition(spec).gamma0.segments())
+    return (points, *boundary_partition(spec).gamma0)
 
 
 def test_pruned_polyline_distance_on_the_disk3_mesh(disk3_quadrature):

@@ -322,7 +322,7 @@ def test_cone_distances_reuse_the_gamma0_field(pert_quarter_spec, monkeypatch,
         mesh = refine(mesh)
     part = boundary_partition(pert_quarter_spec)
     a, b, _ = part.all_segments()
-    a0, b0 = part.gamma0.segments()
+    a0, b0 = part.gamma0
     counts = _segment_counts(monkeypatch)
     requests = [(a0, b0), (a, b)] if gamma0_first else [(a, b), (a0, b0)]
     got = [mesh.quadrature_distances(*seg) for seg in requests]
@@ -403,7 +403,7 @@ def test_rectangle_mesh_structure():
 def _ring_mesh_oracle(spec, n):
     """The earlier triangle-by-triangle ring construction, kept as the oracle."""
     beta = spec.beta
-    full = spec.cone.is_full_plane
+    full = spec.is_full_plane
     q = max(1, int(round(beta / (math.pi / 3))))
     verts = [(0.0, 0.0)]
     rings = [[0]]

@@ -6,8 +6,10 @@ import pytest
 import scipy.linalg
 from scipy.special import jnp_zeros
 
-from conetorsion import (ConstantRadius, boundary_partition, make_sector_domain,
-                         normal_span, rectangle_mesh, refine, triangulate)
+from conetorsion import (GAMMA1, ConstantRadius, FourierRadius, boundary_partition,
+                         make_sector_domain, normal_span, rectangle_mesh, refine,
+                         triangulate)
+from conetorsion.geometry import polyline_distance
 from conetorsion.poincare import (PoincareEstimate, _boundary_segments,
                                   _p1_matrices, _smallest_eigs, eta_estimate,
                                   lambda_constant, mu_estimate, theorem_constant,
@@ -247,17 +249,30 @@ def test_eta_with_an_indefinite_stiffness_raises(quarter_spec, monkeypatch):
 
 
 
-def _constraint_basis_oracle(mesh, span, drop_constraint):
-    """The earlier node-by-node construction of Z, kept as the oracle."""
+def _node_legs(mesh, partition):
+    """vertex id -> [(leg index, leg normal)] of the legs it lies on, in leg
+    order: the GAMMA1 vertices within 1e-9 of each leg segment."""
+    on_gamma1 = np.unique(mesh.boundary_edges[mesh.boundary_tags == GAMMA1])
+    out = {}
+    for j, (seg, nu) in enumerate(zip(partition.gamma1_segments,
+                                      partition.gamma1_normals)):
+        dist = polyline_distance(mesh.vertices[on_gamma1], seg[:1], seg[1:])
+        for v in on_gamma1[dist <= 1e-9]:
+            out.setdefault(int(v), []).append((j, nu))
+    return out
+
+
+def _constraint_basis_oracle(mesh, partition, span, drop_constraint):
+    """The earlier node-by-node construction of Z, one SVD per constrained
+    node, kept as the oracle."""
     import scipy.sparse as sp
-    from conetorsion.poincare import _gamma1_node_normals
     n = mesh.n_vertices
     S = span.basis.T
-    node_normals = {} if drop_constraint else _gamma1_node_normals(mesh)
+    node_legs = {} if drop_constraint else _node_legs(mesh, partition)
     cols, rows, vals = [], [], []
     ncol = 0
     for v in range(n):
-        C = np.array([S.T @ nu for nu in node_normals.get(v, [])])
+        C = np.array([S.T @ nu for _, nu in node_legs.get(v, [])])
         if len(C) == 0:
             D = np.eye(span.k)
         else:
@@ -279,15 +294,59 @@ def test_constraint_basis_matches_the_loop_oracle(quarter_spec, half_spec):
              (quarter_spec, refine(triangulate(quarter_spec, 0.15))),
              (half_spec, triangulate(half_spec, 0.1))]
     for spec, mesh in cases:
-        span = normal_span(boundary_partition(spec))
+        part = boundary_partition(spec)
+        span = normal_span(part)
         for drop in (False, True):
-            Z = _constraint_basis(mesh, span, drop)
-            Z0 = _constraint_basis_oracle(mesh, span, drop)
+            Z = _constraint_basis(mesh, part, span, drop)
+            Z0 = _constraint_basis_oracle(mesh, part, span, drop)
             assert Z.shape == Z0.shape
             for name in ("indptr", "indices", "data"):
                 a, b = getattr(Z, name), getattr(Z0, name)
                 assert a.dtype == b.dtype
                 assert a.tobytes() == b.tobytes()
+
+
+_QUARTER4 = make_sector_domain(math.pi / 2, FourierRadius(1.0, [(4, 0.05)]), 256)
+ETA_BASIS_CASES = {     # spec, h_target, refinements
+    "quarter4": (_QUARTER4, 0.08, 0),
+    "half": (make_sector_domain(math.pi, ConstantRadius(1.0), 256), 0.1, 0),
+    "obtuse": (make_sector_domain(math.pi / 2, FourierRadius(1.0, [(5, 0.08)]), 256),
+               0.1, 0),
+    "beta0.3pi": (make_sector_domain(0.3 * math.pi, ConstantRadius(1.0), 256), 0.08, 0),
+    "beta1.5pi": (make_sector_domain(1.5 * math.pi, ConstantRadius(1.0), 256), 0.12, 0),
+    "quarter4_refined": (_QUARTER4, 0.15, 1),
+}
+
+
+@pytest.mark.parametrize("name", ETA_BASIS_CASES)
+def test_constraint_basis_is_admissible(name, monkeypatch):
+    """Z's columns at a GAMMA1 node are orthonormal and orthogonal to the
+    normal of every leg the node lies on; a node has k columns off GAMMA1,
+    k - 1 on one leg and 0 at the apex, and k everywhere without the
+    constraint.  At most 4 SVDs build one basis."""
+    from conetorsion.poincare import _constraint_basis
+    spec, h_target, refinements = ETA_BASIS_CASES[name]
+    mesh = triangulate(spec, h_target)
+    for _ in range(refinements):
+        mesh = refine(mesh)
+    part = boundary_partition(spec)
+    span = normal_span(part)
+    svd, calls = np.linalg.svd, []
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda *a, **kw: calls.append(1) or svd(*a, **kw))
+    Z = _constraint_basis(mesh, part, span, False).toarray()
+    assert 1 <= len(calls) <= 4
+    Zfree = _constraint_basis(mesh, part, span, True).toarray()
+    legs = _node_legs(mesh, part)
+    assert any(len(on) == 2 for on in legs.values())     # the apex
+    for v in range(mesh.n_vertices):
+        cols = Z[2 * v:2 * v + 2, np.flatnonzero(Z[2 * v:2 * v + 2].any(axis=0))]
+        on = legs.get(v, [])
+        assert cols.shape[1] == (0 if len(on) == 2 else span.k - len(on)), v
+        np.testing.assert_allclose(cols.T @ cols, np.eye(cols.shape[1]), atol=1e-14)
+        for _, nu in on:
+            assert np.all(np.abs(nu @ cols) <= 1e-15), (v, nu @ cols)
+        assert np.count_nonzero(Zfree[2 * v:2 * v + 2].any(axis=0)) == span.k
 
 
 # ---------------------------------------------------------------------------
@@ -392,5 +451,5 @@ def test_cone_pipeline_evaluates_each_gamma0_pair_once(pert_quarter_spec,
     seg = part.all_segments()
     mu_estimate(mesh, 1.0, boundary=(seg[0], seg[1]))
     u_distance_bounds(u, pert_quarter_spec, r_i=1.0)
-    n_points, n_gamma0 = 7 * mesh.n_triangles, len(part.gamma0.segments()[0])
+    n_points, n_gamma0 = 7 * mesh.n_triangles, len(part.gamma0[0])
     assert passes == [(n_points, n_gamma0), (n_points, 2)]
