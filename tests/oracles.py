@@ -219,21 +219,20 @@ def interior_sphere_radius(spec: DomainSpec, samples: int = 256) -> InteriorSphe
 def two_level_cycle(A, dofmap, free):
     """The two-level P2 -> P1 preconditioner on the free dofs, (cycle, factor):
     P1 on the free vertices of the same mesh, Galerkin P^T A P, factored; one
-    degree-3 Chebyshev-Jacobi sweep on [lmax / 10, lmax] (Gershgorin lmax of
+    degree-2 Chebyshev-Jacobi sweep on [lmax / 8, lmax] (Gershgorin lmax of
     D^-1 A, from the whole abs(A)) before and after."""
     P = fem._prolongation(dofmap.n_vertices, dofmap.edge_keys)[free][
         :, free[free < dofmap.n_vertices]]
     coarse = fem.factor_spd(P.T @ A @ P)
     diag = A.diagonal()
     lmax = float((abs(A) @ np.ones(A.shape[0]) / diag).max())
-    theta, delta = 0.55 * lmax, 0.45 * lmax
+    theta, delta = 0.5625 * lmax, 0.4375 * lmax
 
     def smooth(x, r):
-        rho, d = delta / theta, r / (theta * diag)
-        for _ in range(2):
-            x, r = x + d, r - A @ d
-            rho, rho_old = 1 / (2 * theta / delta - rho), rho
-            d = (rho * rho_old) * d + (2 * rho / delta) * (r / diag)
+        rho_old, d = delta / theta, r / (theta * diag)
+        x, r = x + d, r - A @ d
+        rho = 1 / (2 * theta / delta - rho_old)
+        d = (rho * rho_old) * d + (2 * rho / delta) * (r / diag)
         return x + d, r, d
 
     def cycle(r):
@@ -245,8 +244,9 @@ def two_level_cycle(A, dofmap, free):
     return cycle, coarse
 
 
-def pcg(A, b, x, precondition, stop, steps):
-    """Preconditioned CG with fresh arrays each step (``fem._pcg``'s contract)."""
+def pcg(A, b, x, precondition, stop, settled, steps):
+    """Preconditioned CG with fresh arrays each step (``fem._pcg``'s contract):
+    to the residual stop, the step cap, or the first step s with settled(s)."""
     r, p, rz = b - A @ x, np.zeros_like(x), 1.0
     for k in range(fem._CG_MAX_ITER + 1):
         if k == fem._CG_MAX_ITER or fem._dot(r, r) <= stop * stop:
@@ -258,6 +258,9 @@ def pcg(A, b, x, precondition, stop, steps):
         q = A @ p
         alpha = rz / fem._dot(p, q)
         x, r = x + alpha * p, r - alpha * q
+        if settled is not None and settled(alpha * p):
+            steps.append(k + 1)
+            return x
 
 
 def coo_scatter(dofmap, Ke):

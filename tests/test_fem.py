@@ -352,6 +352,22 @@ def test_solve_rejects_an_asymmetric_matrix(quarter_spec):
         solve(replace(system, matrix=A))
 
 
+def test_solve_rejects_an_asymmetric_pattern(quarter_spec):
+    # one entry (i, j) whose mirror (j, i) is not stored: the transpose then
+    # has another pattern, which the symmetry check confirms before it
+    # compares values
+    import scipy.sparse as sp
+    system = assemble(triangulate(quarter_spec, 0.1), 2)
+    A = system.matrix
+    n = A.shape[0]
+    i, j = 0, next(j for j in range(n - 1, 0, -1) if A[0, j] == 0 and A[j, 0] == 0)
+    extra = sp.csr_matrix(([1e-6 * abs(A).max()], ([i], [j])), shape=A.shape)
+    B = (A + extra).tocsr()
+    assert B.nnz == A.nnz + 1
+    with pytest.raises(FemError, match="not symmetric: pattern differs"):
+        solve(replace(system, matrix=B))
+
+
 def test_factor_spd_fill_not_above_plain_minimum_degree(disk_spec,
                                                          pert_quarter_spec):
     # the reverse Cuthill-McKee pre-order must not cost fill against minimum
@@ -491,6 +507,60 @@ def test_an_unrefined_mesh_keeps_the_two_level_cycle(pert_quarter_spec,
     assert u.diagnostics["cg_iterations"] == ref.diagnostics["cg_iterations"]
     assert u.diagnostics["lu_nnz"] == ref.diagnostics["lu_nnz"]
     assert u.coeffs.tobytes() == ref.coeffs.tobytes()
+
+
+def test_uncorrected_solve_stops_once_the_correction_settles(pert_quarter_spec,
+                                                            monkeypatch):
+    # quarter4 refined once and twice, and the disk3 sweep member eps = 0.04
+    # at h = 0.025.  The reference runs the uncorrected solve to the residual
+    # stop.  Declaring the correction settled after one step moves the field
+    # by about 1e-8 of max |u| on these meshes.
+    from conetorsion import fem
+    real_pcg = fem._pcg
+    for mesh in _ladder_and_disk3(pert_quarter_spec)[1:]:
+        system = assemble(mesh, 2)
+        u = solve(system)
+        monkeypatch.setattr(fem, "_pcg", lambda A, b, x, precondition, stop,
+                            settled, steps: real_pcg(A, b, x, precondition,
+                                                     stop, None, steps))
+        ref = solve(system)
+        monkeypatch.undo()
+        assert u.diagnostics["solver"] == ref.diagnostics["solver"] == "cg"
+        assert (u.diagnostics["cg_iterations"][0]
+                < ref.diagnostics["cg_iterations"][0])
+        diff = np.abs(u.coeffs - ref.coeffs).max()
+        assert diff <= 1e-11 * np.abs(ref.coeffs).max()
+
+
+def test_a_cg_step_costs_five_fine_grid_products(pert_quarter_spec, monkeypatch):
+    # quarter4 refined once: per CG step one A_ff product in CG and four in the
+    # cycle (one in each degree-2 sweep, one on each side of the coarse
+    # correction); plus one initial residual per solve
+    import scipy.sparse as sp
+    from conetorsion import fem
+    real_preconditioner, real_pcg = fem._preconditioner, fem._pcg
+    products, counted = [], {}
+
+    class Counted(sp.csr_matrix):
+        def _matmul_vector(self, other):
+            products.append(len(other))
+            return super()._matmul_vector(other)
+
+    def preconditioner(A, system, free):
+        counted["A"] = Counted(A)
+        return real_preconditioner(counted["A"], system, free)
+
+    def pcg(A, *args):
+        assert A.shape == counted["A"].shape
+        return real_pcg(counted["A"], *args)
+
+    monkeypatch.setattr(fem, "_preconditioner", preconditioner)
+    monkeypatch.setattr(fem, "_pcg", pcg)
+    system = assemble(refine(triangulate(pert_quarter_spec, 0.025)), 2)
+    steps = solve(system).diagnostics["cg_iterations"]
+    assert len(steps) == 2 and min(steps) > 0
+    assert set(products) == {counted["A"].shape[0]}
+    assert len(products) == 5 * sum(steps) + len(steps)
 
 
 def test_three_level_preconditioner_is_symmetric_positive(pert_quarter_spec):
