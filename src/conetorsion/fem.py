@@ -22,7 +22,8 @@ transpose for its symmetry check (patterns, then values), freed before the
 blocks are cut.
 
 Global matrices are scattered straight into CSR at their exact size
-(``scatter``), with the values of scipy's COO route bit for bit.
+(``scatter``), with the values of scipy's COO route bit for bit.  Element
+geometry comes from ``TaggedMesh.bary_gradients()``.
 """
 
 from __future__ import annotations
@@ -122,31 +123,6 @@ def build_dofmap(mesh: TaggedMesh, degree: int) -> DofMap:
     return DofMap(2, node_xy, elem_dofs, keys, nv)
 
 
-def bary_gradients(mesh: TaggedMesh) -> tuple[np.ndarray, np.ndarray]:
-    """Per-element gradients of (lambda_0, lambda_1, lambda_2) and areas.
-
-    G[:, 1:] is the inverse Jacobian of the map from (lambda_1, lambda_2) to
-    x - p0.  Both arrays are cached on the mesh, read-only.
-    """
-    cached = mesh._cache.get("bary_gradients")
-    if cached is not None:
-        return cached
-    V, T = mesh.vertices, mesh.triangles
-    p0, p1, p2 = V[T[:, 0]], V[T[:, 1]], V[T[:, 2]]
-    d1, d2 = p1 - p0, p2 - p0
-    det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-    G = np.empty((len(T), 3, 2))
-    G[:, 1, 0] = d2[:, 1] / det
-    G[:, 1, 1] = -d2[:, 0] / det
-    G[:, 2, 0] = -d1[:, 1] / det
-    G[:, 2, 1] = d1[:, 0] / det
-    G[:, 0] = -G[:, 1] - G[:, 2]
-    areas = 0.5 * det
-    G.flags.writeable = areas.flags.writeable = False
-    mesh._cache["bary_gradients"] = G, areas
-    return G, areas
-
-
 # ---------------------------------------------------------------------------
 # linear system
 # ---------------------------------------------------------------------------
@@ -228,7 +204,7 @@ def assemble(mesh: TaggedMesh, degree: int = 2) -> LinearSystem:
     if not np.any(gamma0):
         raise FemError("mesh has no GAMMA0 edges; pure Neumann problem rejected")
     dofmap = build_dofmap(mesh, degree)
-    G, areas = bary_gradients(mesh)
+    G, areas = mesh.bary_gradients()
     A = scatter(dofmap, row_order(dofmap), element_stiffness(G, areas, degree))
     shape_integrals = TRI_WEIGHTS @ shape_values(degree, TRI_POINTS)   # (nloc,)
     b = np.zeros(dofmap.n_dofs)
@@ -264,14 +240,13 @@ class FemField:
     (ne, ng, 2).
     """
 
-    def __init__(self, mesh: TaggedMesh, degree: int, coeffs: np.ndarray,
-                 dofmap: DofMap):
+    def __init__(self, mesh: TaggedMesh, coeffs: np.ndarray, dofmap: DofMap):
         self.mesh = mesh
-        self.degree = degree
+        self.degree = dofmap.degree
         self.coeffs = np.asarray(coeffs, dtype=float)
         self.dofmap = dofmap
         self.diagnostics = {}
-        self._G, self._areas = bary_gradients(mesh)
+        self._G, self._areas = mesh.bary_gradients()
         self._vertex_gradients = None
         self._hessians = None
 
@@ -486,35 +461,31 @@ def _pcg(A, b: np.ndarray, x: np.ndarray, precondition, stop: float,
 
 def _gamma0_owners(system: LinearSystem):
     """What the correction needs of the GAMMA0 edge midpoints m of a degree-2
-    system, from owner-sized arrays, cached on the mesh: (positions of the
-    midpoint dofs in ``system.dirichlet``, owner element dofs (ne, 6), owner
-    barycentric gradients (ne, 3, 2), p - m)."""
+    system, as owner-sized arrays: (positions of the midpoint dofs in
+    ``system.dirichlet``, owner element dofs (ne, 6), owner barycentric
+    gradients (ne, 3, 2), p - m)."""
     mesh, dofmap = system.mesh, system.dofmap
-    cached = mesh._cache.get("gamma0_owners")
-    if cached is None:
-        rows = np.flatnonzero(mesh.boundary_tags == GAMMA0)
-        edges = mesh.edge_table()
-        dofs = dofmap.n_vertices + edges.boundary[rows]
-        m = dofmap.node_xy[dofs]
-        owners = edges.owners[rows]
-        cached = mesh._cache["gamma0_owners"] = (
-            np.searchsorted(system.dirichlet, dofs), dofmap.elem_dofs[owners],
-            bary_gradients(mesh)[0][owners], mesh.spec.project_to_gamma0(m) - m)
-    return cached
+    rows = np.flatnonzero(mesh.boundary_tags == GAMMA0)
+    edges = mesh.edge_table()
+    dofs = dofmap.n_vertices + edges.boundary[rows]
+    m = dofmap.node_xy[dofs]
+    owners = edges.owners[rows]
+    return (np.searchsorted(system.dirichlet, dofs), dofmap.elem_dofs[owners],
+            mesh.bary_gradients()[0][owners], mesh.spec.project_to_gamma0(m) - m)
 
 
-def _midpoint_correction(system: LinearSystem, u: np.ndarray) -> np.ndarray:
+def _midpoint_correction(system: LinearSystem, owners, u: np.ndarray) -> np.ndarray:
     """Dirichlet values (on ``system.dirichlet``) of the curved-boundary
     correction from the uncorrected coefficients u: -<grad u, p - m> at each
     GAMMA0 edge midpoint m, p its projection onto the graph, 0 elsewhere.
 
     Linear in u.  The centroid gradient of the owner element keeps the
     correction uniformly first order.  Only the owners' gradients are formed,
-    from the owner-sized arrays of ``_gamma0_owners``, by the expressions of
+    from ``owners = _gamma0_owners(system)``, by the expressions of
     ``FemField.gradients``: each element's rows do not depend on the others,
     so they are bit for bit those of the whole mesh.
     """
-    at, owner_dofs, G, pm = _gamma0_owners(system)
+    at, owner_dofs, G, pm = owners
     vg = _vertex_gradients(2, u[owner_dofs], G)
     grad = np.einsum("...v,...vx->...x", np.full(3, 1.0 / 3.0), vg)
     gvals = np.zeros(len(system.dirichlet))
@@ -575,11 +546,12 @@ def solve(system: LinearSystem) -> FemField:
         cycle, lu = None, factor_spd(A_ff)
     mesh, dofmap = system.mesh, system.dofmap
     corrected = dofmap.degree == 2 and mesh.spec is not None
+    owners = _gamma0_owners(system) if corrected else None
 
     def settled(s: np.ndarray) -> bool:
         step = np.zeros(n)
         step[free] = s
-        load = A_fc @ _midpoint_correction(system, step)
+        load = A_fc @ _midpoint_correction(system, owners, step)
         return _dot(load, load) <= stop * stop
 
     def solve_with(gvals: np.ndarray, x0: np.ndarray, until) -> np.ndarray:
@@ -593,8 +565,8 @@ def solve(system: LinearSystem) -> FemField:
     u = solve_with(np.zeros(len(fixed)), np.zeros(len(free)),
                    settled if corrected else None)
     if corrected:
-        u = solve_with(_midpoint_correction(system, u), u[free], None)
-    field = FemField(mesh, dofmap.degree, u, dofmap)
+        u = solve_with(_midpoint_correction(system, owners, u), u[free], None)
+    field = FemField(mesh, u, dofmap)
 
     resid = A_ff @ u[free] - (b[free] - A_fc @ u[fixed])
     scale = max(float(np.linalg.norm(b[free])), 1e-30)

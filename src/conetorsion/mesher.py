@@ -32,25 +32,37 @@ class MeshError(RuntimeError):
 
 
 def _edges(V: np.ndarray, T: np.ndarray):
-    """Edge vectors (01, 12, 20) per triangle, (nt, 3, 2), and their lengths."""
+    """Edge vectors (01, 12, 20) per triangle, (nt, 3, 2), their lengths, and
+    twice the signed areas, e01 x e02 with e02 = -e20."""
     P = V[T]
     e = P[:, [1, 2, 0]] - P
-    return e, np.linalg.norm(e, axis=2)
+    return (e, np.linalg.norm(e, axis=2),
+            e[:, 0, 1] * e[:, 2, 0] - e[:, 0, 0] * e[:, 2, 1])
 
 
-def _check_orientation(e: np.ndarray) -> None:
-    # twice the signed area, e01 x e02 with e02 = -e20
-    if not np.all(e[:, 0, 1] * e[:, 2, 0] - e[:, 0, 0] * e[:, 2, 1] > 0):
+def _check_orientation(det: np.ndarray) -> None:
+    if not np.all(det > 0):
         raise MeshError("degenerate (inverted) triangles produced")
 
 
-def _size_and_angle(e: np.ndarray, length: np.ndarray) -> tuple[float, float]:
-    """(h_max, smallest interior angle in degrees) from ``_edges``."""
+def _shape_and_gradients(e: np.ndarray, length: np.ndarray, det: np.ndarray) -> dict:
+    """The cache entries formed from ``_edges``: "shape", (h_max, smallest
+    interior angle in degrees), and "bary_gradients", the per-element
+    gradients of (lambda_0, lambda_1, lambda_2), (nt, 3, 2), and the areas,
+    read-only.  G[:, 1:] is the inverse Jacobian of the map from
+    (lambda_1, lambda_2) to x - p0: e20 and e01 turned by +90 degrees, over det."""
     # the corner at vertex i lies between e_i and -e_(i-1)
     prev = [2, 0, 1]
     c = -np.einsum("tij,tij->ti", e, e[:, prev]) / (length * length[:, prev])
-    return (float(length.max()),
-            float(np.degrees(np.arccos(np.clip(c, -1, 1))).min()))
+    G = np.empty((len(e), 3, 2))
+    G[:, 1:, 0] = -e[:, [2, 0], 1] / det[:, None]
+    G[:, 1:, 1] = e[:, [2, 0], 0] / det[:, None]
+    G[:, 0] = -G[:, 1] - G[:, 2]
+    areas = 0.5 * det
+    G.flags.writeable = areas.flags.writeable = False
+    return {"shape": (float(length.max()),
+                      float(np.degrees(np.arccos(np.clip(c, -1, 1))).min())),
+            "bary_gradients": (G, areas)}
 
 
 @dataclass(frozen=True)
@@ -60,11 +72,12 @@ class TaggedMesh:
     Triangles are positively oriented; boundary edges are directed so the
     interior lies on their left (outward normal = rotate(-90) of the edge).
     ``spec`` carries the analytic boundary for re-projection, when known.
-    Results derived from the mesh alone (its edge table, ``h_max`` and
-    ``min_angle``, refinement, distance fields) are kept in ``_cache``;
-    ``dataclasses.replace`` starts the copy with an empty one, so a rotated
-    or re-tagged mesh never sees the original's results.  ``boundary_edges``
-    rows are in the order of ``edge_table().boundary``.
+    Results derived from the mesh alone (its edge table; ``h_max``,
+    ``min_angle`` and ``bary_gradients()``, seeded from the edge pass that
+    built it; refinement; distance fields) are kept in ``_cache``, which
+    only this module writes.  ``dataclasses.replace`` starts the copy with
+    an empty one, so a rotated or re-tagged mesh never sees the original's
+    results.  ``boundary_edges`` rows follow ``edge_table().boundary``.
     """
 
     vertices: np.ndarray        # (nv, 2)
@@ -85,17 +98,23 @@ class TaggedMesh:
 
     @property
     def h_max(self) -> float:
-        return self._shape()[0]
+        return self._derived("shape")[0]
 
     @property
     def min_angle(self) -> float:
         """Smallest interior angle over all triangles, degrees."""
-        return self._shape()[1]
+        return self._derived("shape")[1]
 
-    def _shape(self) -> tuple[float, float]:
-        if "shape" not in self._cache:
-            self._cache["shape"] = _size_and_angle(*_edges(self.vertices, self.triangles))
-        return self._cache["shape"]
+    def bary_gradients(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-element barycentric gradients (nt, 3, 2) and areas (nt,),
+        read-only; G[:, 1:] is the inverse Jacobian of the element map."""
+        return self._derived("bary_gradients")
+
+    def _derived(self, key: str):
+        if key not in self._cache:
+            self._cache.update(_shape_and_gradients(*_edges(self.vertices,
+                                                            self.triangles)))
+        return self._cache[key]
 
     def edge_table(self) -> EdgeTable:
         """The mesh's ``EdgeTable``, computed once and cached."""
@@ -273,11 +292,12 @@ def triangulate(spec: DomainSpec, h_target: float) -> TaggedMesh:
     n = max(2, math.ceil(r_max / h_target))
     for _ in range(8):
         V, T = _ring_mesh(spec, n)
-        e, length = _edges(V, T)
-        if length.max() <= 1.5 * h_target:
-            return _grade_corners(_finalize(spec, V, T), CORNER_FLOOR * h_target)
-        _check_orientation(e)        # a rejected attempt raises as _finalize would
-        n = math.ceil(n * length.max() / (1.4 * h_target))
+        edges = _edges(V, T)
+        if edges[1].max() <= 1.5 * h_target:
+            return _grade_corners(_finalize(spec, V, T, edges),
+                                  CORNER_FLOOR * h_target)
+        _check_orientation(edges[2])  # a rejected attempt raises as _finalize would
+        n = math.ceil(n * edges[1].max() / (1.4 * h_target))
     raise MeshError("could not reach the mesh-size target")
 
 
@@ -346,26 +366,27 @@ def _grade_corners(mesh: TaggedMesh, h_floor: float) -> TaggedMesh:
     V, T = mesh.vertices, mesh.triangles
     g0 = edge_key(mesh.gamma0_edges(), _KEY_BASE)
     while True:
-        size = _edges(V, T)[1].max(axis=1)
+        edges = _edges(V, T)
         dist = np.linalg.norm(V[T].mean(axis=1)[:, None] - corners, axis=2).min(axis=1)
-        marked = size > np.maximum(CORNER_GRADE * dist, h_floor)
+        marked = edges[1].max(axis=1) > np.maximum(CORNER_GRADE * dist, h_floor)
         if not marked.any():
-            return _finalize(mesh.spec, V, T)
+            return _finalize(mesh.spec, V, T, edges)
         V, T, g0 = _bisect(V, T, marked, g0, mesh.spec)
 
 
-def _finalize(spec: DomainSpec | None, V: np.ndarray, T: np.ndarray) -> TaggedMesh:
-    e, length = _edges(V, T)
-    _check_orientation(e)
+def _finalize(spec: DomainSpec | None, V: np.ndarray, T: np.ndarray,
+              edges) -> TaggedMesh:
+    """The tagged mesh of (V, T), its cache seeded from ``edges = _edges(V, T)``."""
+    _check_orientation(edges[2])
     table = _edge_table(T, len(V))
-    edges = table.boundary_edges
+    boundary = table.boundary_edges
     if spec is not None:
-        tags = _tag_edges(spec, V, edges)
+        tags = _tag_edges(spec, V, boundary)
     else:
-        tags = np.full(len(edges), GAMMA0, dtype=np.int64)
-    mesh = TaggedMesh(V, T, edges, tags, spec)
+        tags = np.full(len(boundary), GAMMA0, dtype=np.int64)
+    mesh = TaggedMesh(V, T, boundary, tags, spec)
     mesh._cache["edges"] = table
-    mesh._cache["shape"] = _size_and_angle(e, length)
+    mesh._cache.update(_shape_and_gradients(*edges))
     return mesh
 
 
@@ -394,14 +415,16 @@ def refine(mesh: TaggedMesh) -> TaggedMesh:
     c = np.hstack([T, nv + edges.elem_edges])
     newT = np.concatenate([c[:, [0, 3, 5]], c[:, [1, 4, 3]], c[:, [2, 5, 4]],
                            c[:, [3, 4, 5]]])
-    new_mesh = _finalize(mesh.spec, newV, newT)
+    new_mesh = _finalize(mesh.spec, newV, newT, _edges(newV, newT))
     if mesh.spec is None:
         # inherit the parent's tags: the midpoint endpoint is nv + parent edge id
         edge_tags = np.empty(len(keys), dtype=mesh.boundary_tags.dtype)
         edge_tags[edges.boundary] = mesh.boundary_tags
         a, b = new_mesh.boundary_edges.T
-        new_mesh = replace(new_mesh,
+        retagged = replace(new_mesh,
                            boundary_tags=edge_tags[np.where(a >= nv, a, b) - nv])
+        retagged._cache.update(new_mesh._cache)   # geometry and edges only
+        new_mesh = retagged
     new_mesh._cache["parent"] = nv, keys
     mesh._cache["refine"] = new_mesh
     return new_mesh
@@ -423,7 +446,8 @@ def rectangle_mesh(nx: int, ny: int) -> TaggedMesh:
             a, b, c, d = vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)
             tris.append((a, b, c))
             tris.append((a, c, d))
-    return _finalize(None, V, np.asarray(tris, dtype=np.int64))
+    T = np.asarray(tris, dtype=np.int64)
+    return _finalize(None, V, T, _edges(V, T))
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .fem import (FemField, bary_gradients, build_dofmap, element_stiffness,
-                  factor_spd, row_order, scatter, shape_values)
+from .fem import (FemField, build_dofmap, element_stiffness, factor_spd,
+                  row_order, scatter, shape_values)
 from .geometry import BoundaryPartition, DomainError, SpanInfo
 from .mesher import GAMMA1, TaggedMesh, refine
 from .quadrature import TRI_POINTS, TRI_WEIGHTS
@@ -77,7 +77,7 @@ def _distance_weights(mesh: TaggedMesh, alpha: float, seg_a, seg_b) -> np.ndarra
 def _p1_matrices(mesh: TaggedMesh, alpha: float, seg_a, seg_b):
     """Weighted P1 stiffness (weight d^(2 alpha)) and mass matrix."""
     dofmap = build_dofmap(mesh, 1)
-    G, areas = bary_gradients(mesh)
+    G, areas = mesh.bary_gradients()
     weights = _distance_weights(mesh, alpha, seg_a, seg_b)
     Nsh = shape_values(1, TRI_POINTS)                            # (7, 3)
     mass = np.einsum("q,qi,qj->ij", TRI_WEIGHTS, Nsh, Nsh)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fem import DegreeError, FemField, bary_gradients
+from .fem import DegreeError, FemField
 from .geometry import (DomainSpec, SpanInfo, boundary_partition, outward_normals,
                        segment_extremes, serrin_radius)
 from .mesher import GAMMA0, GAMMA1, TaggedMesh
@@ -70,7 +70,7 @@ def edge_trace(mesh: TaggedMesh, tag: int, n_gauss: int = 3) -> EdgeTrace:
     weights = lengths[:, None] * w[None, :]
     # barycentric coordinates of the quadrature points in the owning element
     p0 = mesh.vertices[mesh.triangles[elements, 0]]
-    lam12 = np.einsum("eax,egx->ega", bary_gradients(mesh)[0][elements, 1:],
+    lam12 = np.einsum("eax,egx->ega", mesh.bary_gradients()[0][elements, 1:],
                       points - p0[:, None, :])
     lam = np.concatenate([1.0 - lam12.sum(axis=2, keepdims=True), lam12], axis=2)
     return EdgeTrace(rows, elements, normals, lengths, points, lam, weights)

@@ -13,8 +13,8 @@ import scipy.sparse as sp
 from scipy.integrate import quad
 
 from conetorsion import fem
-from conetorsion.fem import (FemField, bary_gradients, build_dofmap,
-                             shape_bary_grads, shape_values)
+from conetorsion.fem import (FemField, build_dofmap, shape_bary_grads,
+                             shape_values)
 from conetorsion.geometry import (TWO_PI, DomainError, DomainSpec,
                                   InteriorSphere, RadiusFunction, _inside_closure,
                                   boundary_partition, polyline_distance)
@@ -33,10 +33,28 @@ def values_oracle(u, elements, lam):
 def gradients_oracle(u, elements, lam):
     elements = np.asarray(elements, dtype=np.int64)
     dN = shape_bary_grads(u.degree, lam)              # (..., nloc, 3)
-    G = bary_gradients(u.mesh)[0][elements]           # (..., 3, 2)
+    G = u.mesh.bary_gradients()[0][elements]          # (..., 3, 2)
     gradN = np.einsum("...la,...ax->...lx", dN, G)
     c = u.coeffs[u.dofmap.elem_dofs[elements]]
     return np.einsum("...l,...lx->...x", c, gradN)
+
+
+def bary_gradients_oracle(mesh):
+    """Per-element barycentric gradients and areas from the vertex differences
+    p1 - p0 and p2 - p0: the body of the earlier ``fem.bary_gradients``,
+    without its cache."""
+    V, T = mesh.vertices, mesh.triangles
+    p0, p1, p2 = V[T[:, 0]], V[T[:, 1]], V[T[:, 2]]
+    d1, d2 = p1 - p0, p2 - p0
+    det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+    G = np.empty((len(T), 3, 2))
+    G[:, 1, 0] = d2[:, 1] / det
+    G[:, 1, 1] = -d2[:, 0] / det
+    G[:, 2, 0] = -d1[:, 1] / det
+    G[:, 2, 1] = d1[:, 0] / det
+    G[:, 0] = -G[:, 1] - G[:, 2]
+    areas = 0.5 * det
+    return G, areas
 
 
 def corners(mesh):
@@ -83,8 +101,7 @@ def interpolate(mesh, degree: int, fn) -> FemField:
     """Nodal interpolant of fn(x, y); exact for quadratics when degree = 2."""
     dofmap = build_dofmap(mesh, degree)
     xy = dofmap.node_xy
-    return FemField(mesh, degree, np.asarray(fn(xy[:, 0], xy[:, 1]), dtype=float),
-                    dofmap)
+    return FemField(mesh, np.asarray(fn(xy[:, 0], xy[:, 1]), dtype=float), dofmap)
 
 
 def h_field(u: FemField, center) -> FemField:
@@ -92,7 +109,7 @@ def h_field(u: FemField, center) -> FemField:
     z = center.z if isinstance(center, Center) else np.asarray(center, dtype=float)
     q = interpolate(u.mesh, u.degree,
                     lambda x, y: 0.5 * ((x - z[0]) ** 2 + (y - z[1]) ** 2))
-    return FemField(u.mesh, u.degree, q.coeffs - u.coeffs, u.dofmap)
+    return FemField(u.mesh, q.coeffs - u.coeffs, u.dofmap)
 
 
 def gamma0_grad_norm(field: FemField) -> float:

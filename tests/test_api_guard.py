@@ -266,6 +266,20 @@ def test_only_the_mesher_numbers_edges():
         assert not read & numbering, f"{path.name} reads {sorted(read & numbering)}"
 
 
+def test_only_the_mesher_stores_into_the_mesh_cache():
+    """No library module but mesher.py assigns to or deletes
+    ``<expr>._cache[...]``: each per-mesh result has one owner."""
+    for path in (ROOT / "src" / "conetorsion").glob("*.py"):
+        if path.name == "mesher.py":
+            continue
+        stores = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(node, ast.Subscript)
+                  and isinstance(node.ctx, (ast.Store, ast.Del))
+                  and isinstance(node.value, ast.Attribute)
+                  and node.value.attr == "_cache"]
+        assert stores == [], f"{path.name} stores into _cache at lines {stores}"
+
+
 def test_the_cli_only_formats():
     """cli.py imports none of the mesh and boundary builders and calls no
     solve, assembly, eigensolve or ``quantities`` function; ``stability``

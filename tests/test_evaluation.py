@@ -14,7 +14,7 @@ from conetorsion import (GAMMA0, GAMMA1, CenterError, alternative_center,
                          max_depth, max_gradient, normal_derivative,
                          normal_span, rectangle_mesh, refine, solve,
                          triangulate, u_distance_bounds)
-from conetorsion.fem import FemField, bary_gradients, build_dofmap
+from conetorsion.fem import FemField, build_dofmap
 from conetorsion.geometry import boundary_partition
 from conetorsion.mesher import _tag_edges
 from conetorsion.quadrature import TRI_POINTS, TRI_WEIGHTS
@@ -279,8 +279,8 @@ def test_extrema_and_norms_match_loop_oracles(meshes, fields):
     rect = meshes[3]
     dofmap = build_dofmap(rect, 2)
     # 0 at the vertices, -1 at the midpoints: -u peaks at the centroids (4/3)
-    bubble = FemField(rect, 2, np.where(np.arange(dofmap.n_dofs) < rect.n_vertices,
-                                        0.0, -1.0), dofmap)
+    bubble = FemField(rect, np.where(np.arange(dofmap.n_dofs) < rect.n_vertices,
+                                     0.0, -1.0), dofmap)
     assert max_depth(bubble) == pytest.approx(4 / 3, rel=1e-14)
     # |grad u| peaks at a corner that is local vertex 1, 2 and 0 of its elements
     peaked = [interpolate(rect, 2, lambda x, y, s=s: np.exp(3 * (s[0] * x + s[1] * y)))
@@ -332,8 +332,8 @@ def test_mesh_edges_tags_and_refinement_match_oracles(meshes):
 
 
 def test_bary_gradients_cached_read_only(meshes):
-    G, areas = bary_gradients(meshes[0])
-    assert bary_gradients(meshes[0])[0] is G
+    G, areas = meshes[0].bary_gradients()
+    assert meshes[0].bary_gradients()[0] is G
     assert not G.flags.writeable and not areas.flags.writeable
     V, T = meshes[0].vertices, meshes[0].triangles
     e01, e02 = V[T[:, 1]] - V[T[:, 0]], V[T[:, 2]] - V[T[:, 0]]

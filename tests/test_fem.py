@@ -46,9 +46,9 @@ def test_matrix_symmetric(quarter_solve):
 
 def _element_loop_oracle(mesh, degree, weights):
     """The earlier per-quadrature-point element kernel: stiffness and load."""
-    from conetorsion.fem import bary_gradients, shape_bary_grads, shape_values
+    from conetorsion.fem import shape_bary_grads, shape_values
     from conetorsion.quadrature import TRI_POINTS, TRI_WEIGHTS
-    G, areas = bary_gradients(mesh)
+    G, areas = mesh.bary_gradients()
     nloc = 3 if degree == 1 else 6
     nt = mesh.n_triangles
     Ke = np.zeros((nt, nloc, nloc))
@@ -64,10 +64,10 @@ def _element_loop_oracle(mesh, degree, weights):
 
 @pytest.mark.parametrize("degree", [1, 2])
 def test_element_kernel_matches_quadrature_loop(quarter_solve, degree):
-    from conetorsion.fem import bary_gradients, element_stiffness
+    from conetorsion.fem import element_stiffness
     from conetorsion.poincare import _boundary_segments, _distance_weights
     mesh = quarter_solve.mesh
-    G, areas = bary_gradients(mesh)
+    G, areas = mesh.bary_gradients()
     ones = np.ones((7, mesh.n_triangles))
     weights = _distance_weights(mesh, 1.0, *_boundary_segments(mesh))
     for wt, given in ((ones, None), (ones, ones), (weights, weights)):
@@ -628,8 +628,7 @@ def _same_csr(A, B):
 
 def test_scatter_matches_the_coo_route_byte_for_byte(pert_quarter_spec):
     from conetorsion import FourierRadius, make_sector_domain
-    from conetorsion.fem import (bary_gradients, build_dofmap, element_stiffness,
-                                 shape_values)
+    from conetorsion.fem import build_dofmap, element_stiffness, shape_values
     from conetorsion.poincare import (_boundary_segments, _distance_weights,
                                       _p1_matrices)
     from conetorsion.quadrature import TRI_POINTS, TRI_WEIGHTS
@@ -639,13 +638,13 @@ def test_scatter_matches_the_coo_route_byte_for_byte(pert_quarter_spec):
     meshes = _ladder_and_disk3(pert_quarter_spec) + [
         refine(rectangle_mesh(12, 9)), obtuse]
     for mesh in meshes:
-        G, areas = bary_gradients(mesh)
+        G, areas = mesh.bary_gradients()
         _same_csr(assemble(mesh, 2).matrix,
                   coo_scatter(build_dofmap(mesh, 2), element_stiffness(G, areas, 2)))
     N = shape_values(1, TRI_POINTS)
     mass = np.einsum("q,qi,qj->ij", TRI_WEIGHTS, N, N)
     for mesh in (meshes[0], obtuse):
-        G, areas = bary_gradients(mesh)
+        G, areas = mesh.bary_gradients()
         dofmap, seg = build_dofmap(mesh, 1), _boundary_segments(mesh)
         for alpha in (0.0, 0.5, 1.0):
             A, M = _p1_matrices(mesh, alpha, *seg)
@@ -659,10 +658,9 @@ def test_assemble_peak_stays_near_the_matrix_size(pert_quarter_spec):
     # measured 2.97x the bytes of the matrix it returns; the COO route
     # (triplets, duplicate-length CSR and views of it kept) 3.93x.
     import tracemalloc
-    from conetorsion.fem import bary_gradients
     mesh = refine(triangulate(pert_quarter_spec, 0.025))
     mesh.edge_table()
-    bary_gradients(mesh)
+    mesh.bary_gradients()
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
@@ -680,13 +678,13 @@ def test_assemble_peak_stays_near_the_matrix_size(pert_quarter_spec):
 def test_correction_gradients_are_formed_on_the_owners_only(pert_quarter_spec,
                                                             monkeypatch):
     from conetorsion import fem
-    from conetorsion.fem import FemField, bary_gradients, shape_bary_grads
+    from conetorsion.fem import FemField, shape_bary_grads
     whole = FemField.vertex_gradients
     calls, seen = [], []
     correction = fem._midpoint_correction
 
-    def spy(system, u):
-        gvals = correction(system, u)
+    def spy(system, owners, u):
+        gvals = correction(system, owners, u)
         seen.append((u.copy(), gvals))
         return gvals
 
@@ -706,7 +704,7 @@ def test_correction_gradients_are_formed_on_the_owners_only(pert_quarter_spec,
         m = dofmap.node_xy[dofs]
         du = np.einsum("vla,el->eva", shape_bary_grads(2, np.eye(3)),
                        u0[dofmap.elem_dofs])
-        vg = np.einsum("eva,eax->evx", du, bary_gradients(mesh)[0])
+        vg = np.einsum("eva,eax->evx", du, mesh.bary_gradients()[0])
         grad = np.einsum("...v,...vx->...x", np.full(3, 1.0 / 3.0),
                          vg[edges.owners[rows]])
         oracle = np.zeros(len(system.dirichlet))

@@ -8,7 +8,7 @@ from conetorsion import (GAMMA0, GAMMA1, MeshError, boundary_partition,
                          rectangle_mesh, refine, triangulate, write_mesh)
 from conetorsion import mesher
 from conetorsion.mesher import edge_key
-from conetorsion.fem import bary_gradients, build_dofmap
+from conetorsion.fem import build_dofmap
 from conetorsion.geometry import polyline_distance
 from conetorsion.quantities import edge_trace
 from tests.oracles import domain_area, gamma0_length
@@ -27,7 +27,7 @@ def test_quarter_disk_structure(quarter_spec):
     assert tags == {GAMMA0, GAMMA1}
     assert mesh.h_max <= 1.5 * 0.1
     assert mesh.min_angle >= 20.0
-    assert np.all(bary_gradients(mesh)[1] > 0)
+    assert np.all(mesh.bary_gradients()[1] > 0)
 
 
 def test_full_disk_has_only_gamma0(disk_spec):
@@ -94,9 +94,9 @@ def _spy_attempts(monkeypatch, invert_first=False):
         rings.append(n)
         return (V, T[:, [0, 2, 1]]) if invert_first and len(rings) == 1 else (V, T)
 
-    def spy_finalize(spec, V, T):
+    def spy_finalize(spec, V, T, edges):
         finalized.append(len(T))
-        return finalize(spec, V, T)
+        return finalize(spec, V, T, edges)
 
     monkeypatch.setattr(mesher, "_ring_mesh", spy_ring_mesh)
     monkeypatch.setattr(mesher, "_finalize", spy_finalize)
@@ -110,7 +110,8 @@ def test_triangulate_finalizes_only_the_accepted_ring_mesh(disk_spec, monkeypatc
     # the first ring count, ceil(r_max / h), misses h_max <= 1.5 h
     assert rings == [40, 50]
     assert finalized == [mesh.n_triangles]
-    want = finalize(disk_spec, *ring_mesh(disk_spec, 50))
+    V, T = ring_mesh(disk_spec, 50)
+    want = finalize(disk_spec, V, T, mesher._edges(V, T))
     for name in ("vertices", "triangles", "boundary_edges", "boundary_tags"):
         assert np.array_equal(getattr(mesh, name), getattr(want, name))
 
@@ -209,6 +210,68 @@ def test_h_max_and_min_angle_are_the_per_corner_formulas_from_one_pass(monkeypat
             assert m.h_max == _h_max_oracle(m)
         assert calls == [mesh.n_triangles]
         calls.clear()
+
+
+def test_triangulate_and_refine_seed_the_gradients_from_their_own_pass(
+        pert_quarter_spec, monkeypatch):
+    calls, edges = [], mesher._edges          # triangle count of each pass
+    monkeypatch.setattr(mesher, "_edges",
+                        lambda V, T: calls.append(len(T)) or edges(V, T))
+    mesh = triangulate(pert_quarter_spec, 0.025)
+    # the rejected first ring count, then the accepted one, which _finalize reuses
+    assert len(calls) == 2 and calls[-1] == mesh.n_triangles
+    child = refine(mesh)
+    assert calls[2:] == [child.n_triangles]
+    spec_free = refine(rectangle_mesh(6, 5))
+    assert calls[-2:] == [60, 240]
+    calls.clear()
+    for m in (mesh, child, spec_free):
+        G, areas = m.bary_gradients()
+        assert m.bary_gradients()[0] is G and m.bary_gradients()[1] is areas
+        assert (m.h_max, m.min_angle) == m._cache["shape"]
+    assert calls == []
+    # a copy forms the shape and the gradients again, from one pass
+    copy = replace(mesh)
+    assert copy.min_angle == mesh.min_angle
+    assert np.array_equal(copy.bary_gradients()[0], mesh.bary_gradients()[0])
+    assert calls == [mesh.n_triangles]
+
+
+def _oracle_meshes(specs, rotated):
+    from conetorsion import ConstantRadius, FourierRadius, make_sector_domain
+    from conetorsion.geometry import offset_disk_radius
+    specs = [specs["disk3"], specs["quarter4"], _sector(math.pi / 2, 5, 0.08),
+             make_sector_domain(0.1, ConstantRadius(1.0), 64),
+             make_sector_domain(math.pi, offset_disk_radius(0.3), 256)]
+    meshes = []
+    for spec in specs:
+        for h in (0.1, 0.05, 0.025):
+            mesh = triangulate(spec, h)
+            meshes += [mesh, refine(mesh)]
+    meshes += [rectangle_mesh(7, 4), refine(rectangle_mesh(5, 3))]
+    c, s = math.cos(0.7), math.sin(0.7)
+    R = np.array([[c, -s], [s, c]])
+    return meshes + [replace(meshes[i], vertices=meshes[i].vertices @ R.T, spec=None)
+                     for i in rotated]
+
+
+def test_bary_gradients_are_the_fem_formulas_bit_for_bit(pert_disk_spec,
+                                                         pert_quarter_spec):
+    """The gradients and areas formed from the mesher's edge pass equal those
+    of the vertex-difference formulas, on 36 meshes: five domains at three
+    sizes, each refined once, two rectangles and four rotated copies."""
+    from tests.oracles import bary_gradients_oracle
+    meshes = _oracle_meshes({"disk3": pert_disk_spec, "quarter4": pert_quarter_spec},
+                            rotated=(2, 9, 14, 31))
+    assert len(meshes) == 36
+    for mesh in meshes:
+        G, areas = mesh.bary_gradients()
+        G0, areas0 = bary_gradients_oracle(mesh)
+        assert np.array_equal(G, G0) and np.array_equal(areas, areas0)
+        # the orientation check tests twice these areas
+        det = mesher._edges(mesh.vertices, mesh.triangles)[2]
+        assert np.array_equal(2 * areas, det)
+        assert not G.flags.writeable and not areas.flags.writeable
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +424,7 @@ def test_area_and_length_converge_second_order(pert_disk_spec):
     mesh = triangulate(pert_disk_spec, 0.2)
     for _ in range(3):
         hs.append(mesh.h_max)
-        area_err.append(abs(np.sum(bary_gradients(mesh)[1]) - area_exact))
+        area_err.append(abs(np.sum(mesh.bary_gradients()[1]) - area_exact))
         len_err.append(abs(edge_trace(mesh, GAMMA0).total_length - len_exact))
         mesh = refine(mesh)
     for errs in (area_err, len_err):
@@ -395,7 +458,7 @@ def test_rectangle_mesh_structure():
     mesh = replace(unit, vertices=unit.vertices * [2.0, 1.0])   # [0, 2] x [0, 1]
     assert mesh.n_vertices == 4 * 6
     assert mesh.n_triangles == 2 * 3 * 5
-    assert np.sum(bary_gradients(mesh)[1]) == pytest.approx(2.0, rel=1e-12)
+    assert np.sum(mesh.bary_gradients()[1]) == pytest.approx(2.0, rel=1e-12)
     square = rectangle_mesh(4, 4)
     assert square.min_angle >= 44.9
 
@@ -488,8 +551,8 @@ def test_right_and_acute_corners_keep_the_ring_mesh(pert_quarter_spec):
 
 
 def test_obtuse_corner_mesh_is_graded_and_conforming():
-    from conetorsion.mesher import (CORNER_FLOOR, CORNER_GRADE, _finalize,
-                                    _ring_mesh, _obtuse_corners)
+    from conetorsion.mesher import (CORNER_FLOOR, CORNER_GRADE, _edges,
+                                    _finalize, _ring_mesh, _obtuse_corners)
     spec = _sector(math.pi / 2, 5, 0.08)
     h = 0.12
     mesh = triangulate(spec, h)
@@ -500,14 +563,15 @@ def test_obtuse_corner_mesh_is_graded_and_conforming():
     assert size.min() <= CORNER_FLOOR * h
     assert mesh.h_max <= 1.5 * h
     assert mesh.min_angle >= 20.0
-    assert np.all(bary_gradients(mesh)[1] > 0)
+    assert np.all(mesh.bary_gradients()[1] > 0)
     assert mesh.n_vertices - edge_count(mesh) + mesh.n_triangles == 1
     # conforming: the boundary is exactly the two legs and the graph
     legs = float(spec.radius_fn(0.0)) + float(spec.radius_fn(math.pi / 2))
     assert edge_trace(mesh, GAMMA1).total_length == pytest.approx(legs, abs=1e-12)
     # bisection keeps the ring mesh's vertices and only adds more: the chord
     # sum along the graph grows toward its length
-    ring = _finalize(spec, *_ring_mesh(spec, math.ceil(1.08 / h)))
+    V, T = _ring_mesh(spec, math.ceil(1.08 / h))
+    ring = _finalize(spec, V, T, _edges(V, T))
     assert ring.h_max <= 1.5 * h
     assert np.array_equal(mesh.vertices[:ring.n_vertices], ring.vertices)
     chords = edge_trace(mesh, GAMMA0).total_length
